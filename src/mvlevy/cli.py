@@ -21,7 +21,7 @@ from . import levy as levy_mod
 from . import drift as drift_mod
 from . import rng as _rng
 from .errors import (Blowup, MvLevyError, NoiseFloorExceedsTol,
-                     NoTransition, QuadratureFailure)
+                     NoTransition, QuadratureFailure, _config_kwargs)
 
 NUMERICAL_ERRORS = (Blowup, QuadratureFailure, NoiseFloorExceedsTol, NoTransition)
 
@@ -43,6 +43,8 @@ def _load_config(path, overrides):
     if path:
         with open(path) as fh:
             cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
     for item in overrides or []:
         key, _, raw = item.partition("=")
         try:
@@ -53,6 +55,8 @@ def _load_config(path, overrides):
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"--set {key}: {p!r} is not an object")
         node[parts[-1]] = val
     return cfg
 
@@ -175,7 +179,7 @@ def cmd_check(args, cfg, out):
         ok = ok and all(report["ex15"].values())
     if "m_star" in cfg:
         p = cfg["m_star"]
-        params = drift_mod.A1Params(**p)
+        params = drift_mod.A1Params(**_config_kwargs(drift_mod.A1Params, p))
         res = conditions.m_star(params, levy)
         report["m_star"] = {k: res[k] for k in ("M_star", "chosen_l", "case")}
     report["ok"] = ok

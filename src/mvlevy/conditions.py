@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import A1Params, _h
+from .drift import _h
 from .errors import CaseViolation, NotInTheta, QuadratureFailure, ZeroOverlap
-from .levy import (BALL, COMPLEMENT, J, SigmaSpec, tail_moment,
-                   vector_first_moment)
+from .levy import BALL, COMPLEMENT, J, SigmaSpec, tail_moment
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,10 @@ def phi_fn(params, levy, eps2, r, l):
     """
     p = params
     b = p.beta
-    vec = float(np.linalg.norm(vector_first_moment(levy, l)))
-    if vec > 0.0:
-        g2 = p.gamma2
-        mid = b * gamma_fn(max(b - 1.0, 0.0), g2 / eps2, g2) * vec ** (1.0 / (1.0 - g2))
-    else:
-        mid = 0.0
+    # the Gamma term is 0: nu(z 1_{1<|z|<=l}) = 0 for every supported (symmetric) nu
     small = tail_moment(levy, 2.0, BALL, l)
     big = tail_moment(levy, b, COMPLEMENT, l)
-    return (b * p.C_b + mid
+    return (b * p.C_b
             + b * p.lam1 * _h(r ** 2) ** ((1.0 + p.theta1) / 2.0)
             * (1.0 + r ** 2) ** (p.beta_star / 2.0)
             + (b / 2.0) * small + big)
@@ -134,7 +128,7 @@ def m_star(params, levy):
         l, tail = _select_l(levy, b, delta / 2.0)
         eps1 = l1 / (2.0 ** ((3.0 + t1) / 2.0) * l2) if l2 > 0 else 1.0
         eps2 = delta / b
-        t = ThetaTuple(eps1, eps2, 1.0, l)
+        ThetaTuple(eps1, eps2, 1.0, l)  # raises unless eps1, eps2 > 0
         g1 = p.gamma1
         g3 = p.theta3 * p.theta4 / (p.beta_star * (1.0 - g1))
         if l2 > 0:
@@ -159,7 +153,7 @@ def m_star(params, levy):
     lam_mid = (l1 + l2) / 2.0
     u = (lam_mid / l1) ** (2.0 / (1.0 + t1))
     r0 = math.sqrt(u / (1.0 - u))
-    t = ThetaTuple(eps1, eps2, r0, l)
+    ThetaTuple(eps1, eps2, r0, l)  # raises unless eps1, eps2, r0 > 0
     phi = phi_fn(p, levy, eps2, r0, l)
     M2 = 4.0 * phi / (b * (l1 - l2))
     return {"M1": None, "M2": M2, "M_star": M2, "chosen_l": l,
@@ -240,8 +234,6 @@ def ex14_feasibility(lam, kappa, beta, a1, a2, levy, n_eps=25, n_r0=40):
     in r0 below its admissible ceiling.
     """
     amin = min(abs(a1), abs(a2))
-    best = None
-    best_margin = -math.inf
     for eps in np.logspace(-4, 0, n_eps):
         for r0 in np.linspace(amin / 4.0 * 0.999, amin / (4.0 * n_r0), n_r0):
             res = ex14_check(lam, kappa, beta, float(eps), float(r0), a1, a2, levy)

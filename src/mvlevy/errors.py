@@ -1,4 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the check that
+turns a config section into dataclass keywords."""
+
+from dataclasses import MISSING, fields
+
+
+def _config_kwargs(cls, obj):
+    """obj as keyword arguments of the dataclass cls.  ValueError when obj
+    is not an object, names a key that is not a field of cls, or lacks a
+    field that has no default."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} config must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} config lacks {missing}")
+    return dict(obj)
 
 
 class MvLevyError(Exception):

@@ -8,12 +8,12 @@ every report so distinctness claims stay honest.
 """
 
 import warnings
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .drift import lyapunov_params
-from .errors import NoiseFloorExceedsTol
+from .errors import MvLevyError, NoiseFloorExceedsTol
 from .measures import EmpiricalMeasure, concentration, moment, w1
 from .simulate import SimConfig, frozen_trajectory
 
@@ -124,7 +124,7 @@ def multiplicity_search(drift, levy, seeds, M_star, cfg, beta_star=None):
             reports[i] = iterate_lambda(drift, levy, EmpiricalMeasure.dirac(y), cfg,
                                         beta_star=beta_star,
                                         stream_base=10_000_000 * (i + 1))
-        except Exception as exc:  # partial reports allowed
+        except MvLevyError as exc:  # partial reports allowed
             errors[i] = exc
     distinct = np.zeros((k, k), dtype=bool)
     evidence = {}

@@ -8,7 +8,7 @@ samplers used elsewhere in the package live here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -20,6 +20,7 @@ from .errors import (
     InvalidRegion,
     QuadratureFailure,
     SigmaViolatesH2,
+    _config_kwargs,
 )
 
 STABLE = "stable"
@@ -138,7 +139,7 @@ class LevyMeasureSpec:
 
     @staticmethod
     def from_json(obj):
-        kw = dict(obj)
+        kw = _config_kwargs(LevyMeasureSpec, obj)
         if "jump_dist" in kw:
             kw["jump_dist"] = tuple(kw["jump_dist"])
         return LevyMeasureSpec(**kw)
@@ -192,13 +193,6 @@ def tail_moment(spec, p, region, l):
         raise DivergentMoment(f"p = {p} <= alpha = {a} near the origin")
     lo = min(l, R)
     return c * lo ** (p - a) / (p - a)
-
-
-def vector_first_moment(spec, l):
-    """nu(z 1_{1<|z|<=l}) as a vector; zero for all built-in symmetric kinds."""
-    if l <= 0:
-        raise InvalidRegion(f"radius l must be positive, got {l}")
-    return np.zeros(spec.dim)
 
 
 def overlap_mass(spec, x):
@@ -300,8 +294,10 @@ def sample_increment(spec, dt, rng, size=1):
     """size increments of the driving process over a window of length dt.
 
     Returns an array of shape (size, dim).  Pure stable kinds use exact
-    self-similar increments scale * dt^{1/alpha} * unit draw; alpha = 2 is
-    Brownian with variance dt per coordinate times scale.
+    self-similar increments scale * dt^{1/alpha} * unit draw for alpha < 2.
+    alpha = 2 is scale times standard Brownian motion, with variance
+    scale^2 dt per coordinate; it is not the alpha -> 2- stable limit (or
+    unit_isotropic_stable(2, ...)), whose variance is 2 scale^2 dt.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

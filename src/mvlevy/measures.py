@@ -8,7 +8,7 @@ variation estimator with weight U(x) = (1 + |x|^2)^{beta0/2}.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import wasserstein_distance

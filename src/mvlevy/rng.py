@@ -15,8 +15,3 @@ def stream(seed, stream_id=0):
     distinct keys; PCG64 keeps generation fast on the hot simulation path.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed) & (2**64 - 1), int(stream_id)])))
-
-
-def substreams(seed, n, base=0):
-    """n independent streams with ids base..base+n-1."""
-    return [stream(seed, base + i) for i in range(n)]

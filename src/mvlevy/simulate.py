@@ -3,10 +3,13 @@ particle system, with time-averaged occupation measures as output.
 
 Chains advance as one vectorized block; every chain owns a counter-based
 stream keyed by (seed, stream id), so the result is independent of how the
-work is scheduled.  With pure stable noise and an affine drift the Euler
-chain is an AR(1) process, and it jumps from one kept state to the next in
-a single update that is exact in law (stable laws are closed under weighted
-sums); every other combination is stepped one Euler step at a time.
+work is scheduled.  The frozen-measure runs and the particle system share
+one integrator: the particle system is the mode whose drift reads the
+measure stats of the current cloud at every step.  With a frozen measure,
+pure stable noise and an affine drift the Euler chain is an AR(1) process,
+and it jumps from one kept state to the next in a single update that is
+exact in law (stable laws are closed under weighted sums); every other
+combination is stepped one Euler step at a time.
 """
 
 import math
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Blowup, DimensionMismatch
+from .errors import Blowup, DimensionMismatch, _config_kwargs
 from .drift import affine_coefficients, field_closure, measure_stats
 from .levy import STABLE, sample_increment
 from .measures import EmpiricalMeasure
@@ -49,7 +52,7 @@ class SimConfig:
 
     @staticmethod
     def from_json(obj):
-        return SimConfig(**obj)
+        return SimConfig(**_config_kwargs(SimConfig, obj))
 
 
 @dataclass(frozen=True)
@@ -103,55 +106,76 @@ def _affine_jump(rate, dt, alpha, k):
         return dk, (1.0 - dk) / (1.0 - decay), noise
 
 
-def _run_euler(spec, stats, levy, X, cfg, dt, stream_base):
-    """Advance all chains by T/dt Euler steps; returns the kept states, one
-    (n, d) block per kept time (the states after steps burn + i*thin).
+def _kept_steps(cfg):
+    """Steps after which a frozen run keeps its state: every thin-th step
+    after burn-in."""
+    n_steps = int(round(cfg.T / cfg.dt))
+    burn = int(round(cfg.burn_in_fraction * n_steps))
+    return range(burn + cfg.thin, n_steps + 1, cfg.thin)
 
-    Pure stable noise with an affine drift b(x) = shift - rate x makes the
-    Euler chain X <- D X + shift dt + dZ with D = 1 - rate dt, and k of its
-    steps add up to
+
+def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
+    """Advance all chains by T/dt Euler steps of size dt; returns the
+    states after each step in keep (increasing), one (n, d) block per step.
+
+    stats are the measure stats of a frozen measure, or None for the
+    particle system: the drift then reads the stats of the current cloud
+    at every step, and the blowup guard checks the cloud before each step
+    so that the stats are taken of finite states.
+
+    With frozen stats, pure stable noise and an affine drift
+    b(x) = shift - rate x make the Euler chain X <- D X + shift dt + dZ
+    with D = 1 - rate dt, and k of its steps add up to
         X <- D^k X + shift dt sum_j D^j + sum_j D^{k-1-j} dZ_j   (j < k).
     The increments are symmetric stable with index alpha, so the noise sum
     has the law of one increment over the window dt sum_j |D|^{j alpha}
     (exact self-similar scaling of sample_increment; at alpha = 2 this is
-    the Euler variance dt sum_j D^{2j}).  The chain then jumps burn + thin
-    steps to the first kept state and thin steps to each later one, with
-    one draw per chain and kept state.
+    the Euler variance dt sum_j D^{2j}).  The chain then jumps from one
+    kept step to the next, with one draw per chain and kept step.
 
-    Every other drift and noise kind takes the Euler steps one by one, with
-    increments drawn in chunks of steps to amortize generator overhead.
-    Either way the draw order is fixed by (seed, stream) alone.
+    Every other case takes the Euler steps one by one, with increments
+    drawn in chunks of steps to amortize generator overhead.  Either way
+    the draw order is fixed by (seed, stream) alone.
     """
     n, d = X.shape
+    if levy.dim != d:
+        raise DimensionMismatch(f"noise has dim {levy.dim}, drift wants {d}")
+    dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
-    burn = int(round(cfg.burn_in_fraction * n_steps))
     gen = _rng.stream(cfg.seed, stream_base)
-    aff = affine_coefficients(spec, stats)
+    aff = None if stats is None else affine_coefficients(spec, stats)
     kept = []
     # overflow in the updates is the blowup signal, not an error; the guard
     # turns it into a Blowup exception
     if aff is not None and levy.kind == STABLE:
         rate, shift = aff
-        first = _affine_jump(rate, dt, levy.alpha, burn + cfg.thin)
-        later = _affine_jump(rate, dt, levy.alpha, cfg.thin)
+        prev = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range((n_steps - burn) // cfg.thin):
-                decay_k, drift_sum, noise_sum = later if i else first
+            for step in keep:
+                decay_k, drift_sum, noise_sum = _affine_jump(
+                    rate, dt, levy.alpha, step - prev)
                 X = (decay_k * X + shift * (dt * drift_sum)
                      + sample_increment(levy, dt * noise_sum, gen, size=n))
-                _check_blowup(X, burn + (i + 1) * cfg.thin)
+                _check_blowup(X, step)
                 kept.append(X)
+                prev = step
         return kept
-    field = field_closure(spec, stats)
+    cloud = stats is None
+    field = None if cloud else field_closure(spec, stats)
+    keep = set(keep)
     step = 0
     while step < n_steps:
         m = min(INCREMENT_CHUNK, n_steps - step)
         dZ = sample_increment(levy, dt, gen, size=n * m).reshape(m, n, d)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
+                if cloud:
+                    _check_blowup(X, step)
+                    field = field_closure(
+                        spec, measure_stats(spec, EmpiricalMeasure.from_samples(X)))
                 step += 1
                 X = X + field(X) * dt + dZ[j]
-                if step > burn and (step - burn) % cfg.thin == 0:
+                if step in keep:
                     kept.append(X)
         _check_blowup(X, step)
     return kept
@@ -167,19 +191,17 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, stream_base=0):
     """
     if frozen.dim != spec.dim:
         raise DimensionMismatch("frozen measure dimension mismatch")
-    if levy.dim != spec.dim:
-        raise DimensionMismatch(f"noise has dim {levy.dim}, drift wants {spec.dim}")
     stats = measure_stats(spec, frozen)
     gen0 = _rng.stream(cfg.seed, stream_base + 1_000_000)
     X = _initial_states(x0, cfg.n_chains, spec.dim, gen0)
     try:
-        kept = _run_euler(spec, stats, levy, X, cfg, cfg.dt, stream_base)
+        kept = _run_euler(spec, stats, levy, X, cfg, _kept_steps(cfg), stream_base)
         dt_used = cfg.dt
     except Blowup:
         # one retry at half the step, then give up
         X = _initial_states(x0, cfg.n_chains, spec.dim, gen0)
         cfg2 = replace(cfg, dt=cfg.dt / 2.0, thin=cfg.thin * 2)
-        kept = _run_euler(spec, stats, levy, X, cfg2, cfg2.dt, stream_base)
+        kept = _run_euler(spec, stats, levy, X, cfg2, _kept_steps(cfg2), stream_base)
         dt_used = cfg2.dt
     pts = np.concatenate(kept, axis=0)
     n = pts.shape[0]
@@ -193,22 +215,11 @@ def particle_system(spec, levy, init, cfg, snapshot_times=None):
     terminal state only)."""
     if cfg.n_chains < 100:
         raise ValueError("particle system needs n_chains >= 100")
-    d = spec.dim
     gen0 = _rng.stream(cfg.seed, 2_000_000)
-    X = _initial_states(init, cfg.n_chains, d, gen0)
+    X = _initial_states(init, cfg.n_chains, spec.dim, gen0)
     n_steps = int(round(cfg.T / cfg.dt))
     if snapshot_times is None:
         snapshot_times = [cfg.T]
     snap_steps = sorted({min(n_steps, max(1, int(round(t / cfg.dt)))) for t in snapshot_times})
-    gen = _rng.stream(cfg.seed, 3_000_000)
-    snaps = []
-    w = np.full(cfg.n_chains, 1.0 / cfg.n_chains)
-    for step in range(1, n_steps + 1):
-        cloud = EmpiricalMeasure(X.copy(), w)
-        stats = measure_stats(spec, cloud)
-        dZ = sample_increment(levy, cfg.dt, gen, size=cfg.n_chains)
-        X = X + field_closure(spec, stats)(X) * cfg.dt + dZ
-        _check_blowup(X, step)
-        if step in snap_steps:
-            snaps.append(EmpiricalMeasure(X.copy(), w.copy()))
-    return snaps
+    kept = _run_euler(spec, None, levy, X, cfg, snap_steps, 3_000_000)
+    return [EmpiricalMeasure.from_samples(x) for x in kept]

@@ -49,6 +49,14 @@ class TestSample:
         cfg = _write_cfg(tmp_path / "c.json", {"levy": {"kind": "stable"}})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_config_key_is_validation_error(self, tmp_path):
+        assert main(["sample", "--set", "seed=1", "--set", "levy.bogus=1",
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_set_through_scalar_is_validation_error(self, tmp_path):
+        assert main(["sample", "--set", "seed=1", "--set", "levy=3",
+                     "--set", "levy.alpha=1", "--out", str(tmp_path / "o")]) == 2
+
     def test_malformed_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "c.json"
         bad.write_text("{not json")
@@ -159,6 +167,11 @@ class TestCheck:
         rep = json.loads((out / "report.json").read_text())
         assert rep["m_star"]["case"] == "i"
         assert rep["m_star"]["M_star"] > 0
+
+    def test_unknown_m_star_key_is_validation_error(self, tmp_path):
+        assert main(["check", "--set", 'levy={"alpha": 1.8}',
+                     "--set", 'm_star={"C_b": 1.0, "bogus": 1.0}',
+                     "--out", str(tmp_path / "o")]) == 2
 
 
 class TestSelfConsistent:

@@ -13,12 +13,7 @@ from mvlevy import (
     lyapunov_params,
     verify_E12,
 )
-from mvlevy.drift import (
-    affine_coefficients,
-    drift_field,
-    field_closure,
-    measure_stats,
-)
+from mvlevy.drift import affine_coefficients, field_closure, measure_stats
 
 
 def _uniform_cloud(gen, n, d=1, scale=1.0):
@@ -107,22 +102,36 @@ class TestSpecValidation:
 
 class TestFieldConsistency:
     def test_closure_matches_field_all_families(self):
+        # the closure on a (30, d) block against the family formulas written
+        # out row by row, with the measure integrals as plain averages
         gen = np.random.default_rng(7)
-        specs = [
-            DriftSpec("double_well", lam=1.5, kappa=0.7, a1=-2.0, a2=1.0),
-            DriftSpec("mean_field_ou", lam=2.0),
-            DriftSpec("asymmetric_cubic", lam=1.0, kappa=0.4, beta=1.3,
-                      g_kind="cosine", g_params=(0.3, 2.0)),
-            DriftSpec("symmetric_two_well", lam=1.0, kappa=0.2,
-                      y1=(1.0, 0.5), y2=(-1.0, -0.5)),
+        y1, y2 = np.array([1.0, 0.5]), np.array([-1.0, -0.5])
+
+        def two_well(x, mean):
+            n1, n2 = np.sum((x - y1) ** 2), np.sum((x - y2) ** 2)
+            return -0.5 * ((x - y1) * n2 + (x - y2) * n1) - 0.2 * (x - mean)
+
+        cases = [
+            (DriftSpec("double_well", lam=1.5, kappa=0.7, a1=-2.0, a2=1.0),
+             lambda x, pts: -1.5 * x * (x + 2.0) * (x - 1.0) - 0.7 * (x - pts.mean(0))),
+            (DriftSpec("mean_field_ou", lam=2.0),
+             lambda x, pts: -2.0 * x + pts.mean(0)),
+            (DriftSpec("asymmetric_cubic", lam=1.0, kappa=0.4, beta=1.3,
+                       g_kind="cosine", g_params=(0.3, 2.0)),
+             lambda x, pts: (-x * (x - 1.0) * (x + 2.0)
+                             + 0.4 * ((1.0 + x ** 2) ** 0.15 * np.abs(pts).mean()
+                                      + (0.3 * np.cos(2.0 * pts)).mean()))),
+            (DriftSpec("symmetric_two_well", lam=1.0, kappa=0.2,
+                       y1=tuple(y1), y2=tuple(y2)),
+             lambda x, pts: two_well(x, pts.mean(0))),
         ]
-        for spec in specs:
+        for spec, formula in cases:
             mu = _uniform_cloud(gen, 40, d=spec.dim)
-            stats = measure_stats(spec, mu)
             X = gen.normal(size=(30, spec.dim)) * 3.0
-            a = drift_field(spec, X, stats)
-            b = field_closure(spec, stats)(X)
-            assert np.allclose(a, b, rtol=0, atol=1e-14)
+            got = field_closure(spec, measure_stats(spec, mu))(X)
+            want = np.array([formula(x, mu.points) for x in X])
+            assert got.shape == (30, spec.dim)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12), spec.family
 
     def test_affine_coefficients(self):
         gen = np.random.default_rng(9)
@@ -131,7 +140,7 @@ class TestFieldConsistency:
         stats = measure_stats(spec, mu)
         rate, shift = affine_coefficients(spec, stats)
         X = gen.normal(size=(10, 1))
-        assert np.allclose(shift - rate * X, drift_field(spec, X, stats),
+        assert np.allclose(shift - rate * X, field_closure(spec, stats)(X),
                            atol=1e-14)
         cubic = DriftSpec("double_well", lam=1.0, a1=-1.0, a2=1.0)
         assert affine_coefficients(cubic, measure_stats(cubic, mu)) is None

@@ -11,6 +11,7 @@ import pytest
 
 from mvlevy import (
     A1Params,
+    Blowup,
     DriftSpec,
     EmpiricalMeasure,
     FixedPointConfig,
@@ -24,6 +25,7 @@ from mvlevy import (
     multiplicity_search,
     w1,
 )
+from mvlevy import fixed_point
 
 BM = LevyMeasureSpec(alpha=2.0, scale=0.1)
 SIM = SimConfig(dt=0.01, T=10.0, n_chains=200, seed=11)
@@ -131,6 +133,20 @@ class TestMultiplicitySearch:
         rep = multiplicity_search(DW, BM, [[-1.0], [1.0]], 0.05, bad)
         assert set(rep.errors) == {0, 1}
         assert not rep.distinct_pairs.any()
+
+    def test_only_package_errors_are_recorded(self, monkeypatch):
+        def fail_with(exc):
+            def iterate(*args, **kwargs):
+                raise exc
+            return iterate
+
+        monkeypatch.setattr(fixed_point, "iterate_lambda", fail_with(Blowup(3, 1e9)))
+        rep = multiplicity_search(DW, BM, [[-1.0], [1.0]], 0.05, self.CFG)
+        assert all(isinstance(e, Blowup) for e in rep.errors.values())
+        assert set(rep.errors) == {0, 1}
+        monkeypatch.setattr(fixed_point, "iterate_lambda", fail_with(TypeError("bug")))
+        with pytest.raises(TypeError):
+            multiplicity_search(DW, BM, [[-1.0], [1.0]], 0.05, self.CFG)
 
 
 class TestInvarianceCheck:

@@ -14,8 +14,7 @@ from mvlevy.errors import (DivergentMoment, InfiniteOverlap, InvalidRegion,
                            SigmaViolatesH2)
 from mvlevy.levy import (BALL, COMPLEMENT, J, LevyMeasureSpec, SigmaSpec,
                          overlap_mass, sample_increment, sphere_area,
-                         stable_constant, tail_moment, unit_isotropic_stable,
-                         vector_first_moment)
+                         stable_constant, tail_moment, unit_isotropic_stable)
 
 
 def test_normalization_matches_characteristic_exponent():
@@ -101,11 +100,6 @@ def test_brownian_case_has_no_jump_part():
     assert tail_moment(spec, 3.0, BALL, 1.0) == 0.0
     assert overlap_mass(spec, [1.0]) == 0.0
     assert overlap_mass(spec, [0.0]) == 0.0
-
-
-def test_vector_first_moment_is_zero_by_symmetry():
-    spec = LevyMeasureSpec(alpha=1.5, dim=3)
-    assert np.all(vector_first_moment(spec, 5.0) == 0.0)
 
 
 def test_overlap_closed_form_1d():

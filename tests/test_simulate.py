@@ -17,7 +17,7 @@ from mvlevy import (
     particle_system,
     sample_increment,
 )
-from mvlevy.simulate import _affine_jump, _run_euler
+from mvlevy.simulate import _affine_jump, _kept_steps, _run_euler
 
 
 def _brownian(scale=1.0):
@@ -38,6 +38,15 @@ class TestSimConfig:
     def test_json_round_trip(self):
         cfg = SimConfig(dt=0.005, T=50.0, n_chains=8, thin=4, seed=99)
         assert SimConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("obj", [
+        {"dt": 0.01, "T": 20.0, "bogus": 1},  # not a field
+        {"T": 20.0},                          # dt has no default
+        [0.01, 20.0],                         # not an object
+    ])
+    def test_from_json_rejects_bad_sections(self, obj):
+        with pytest.raises(ValueError):
+            SimConfig.from_json(obj)
 
 
 class TestFrozenTrajectory:
@@ -193,7 +202,8 @@ class TestAffineJumpInLaw:
         mean, x0 = np.array([0.5, -0.5]), np.array([2.0, 1.0])
         st = {"mean": mean}
         X = np.tile(x0, (self.CFG.n_chains, 1))
-        jumped = np.array(_run_euler(spec, st, levy, X, self.CFG, self.CFG.dt, 0))
+        jumped = np.array(_run_euler(spec, st, levy, X, self.CFG,
+                                     _kept_steps(self.CFG), 0))
         self._compare(jumped, _stepwise_kept(levy, 1.0, mean, x0, self.CFG, 2))
 
     def test_truncated_noise_stationary_mean(self):
@@ -236,6 +246,32 @@ class TestParticleSystem:
         (snap,) = particle_system(spec, _brownian(), 2.0, cfg)
         se = np.sqrt(cfg.T / cfg.n_chains)
         assert abs(snap.points[:, 0].mean() - 2.0) <= 3.0 * se
+
+    def test_noise_dimension_check(self):
+        spec = DriftSpec("mean_field_ou", lam=1.0)
+        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=0)
+        with pytest.raises(DimensionMismatch):
+            particle_system(spec, LevyMeasureSpec(alpha=1.5, dim=2), 0.0, cfg)
+
+    def test_deterministic_cloud_decay(self):
+        # with negligible noise every particle sits at the cloud mean, so
+        # the drift mean - 2 X is -X and X_k = (1 - dt)^k; the snapshot
+        # steps 100, 300 and 1000 straddle the increment chunk boundaries
+        spec = DriftSpec("mean_field_ou", lam=2.0)
+        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=3)
+        snaps = particle_system(spec, _brownian(scale=1e-12), 1.0, cfg,
+                                snapshot_times=[1.0, 3.0, 10.0])
+        for snap, k in zip(snaps, (100, 300, 1000)):
+            assert np.allclose(snap.points, (1.0 - cfg.dt) ** k, rtol=0, atol=1e-9)
+
+    def test_diverging_cloud_is_blowup(self):
+        # the cubic overshoots from 1e3 to -1e7 and then to ~1e19: the guard
+        # must trip before the stats of a non-finite cloud are taken
+        spec = DriftSpec("double_well", lam=1.0, kappa=0.0, a1=-1.0, a2=1.0)
+        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=0)
+        with pytest.raises(Blowup) as exc:
+            particle_system(spec, _brownian(scale=0.1), 1e3, cfg)
+        assert exc.value.step == 2
 
     def test_snapshot_times(self):
         spec = DriftSpec("mean_field_ou", lam=1.0)
