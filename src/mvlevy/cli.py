@@ -75,6 +75,14 @@ def _dump(out, name, obj):
     return path
 
 
+def _section(cfg, key):
+    """cfg[key], checked to be an object before it is read by key."""
+    sec = cfg[key]
+    if not isinstance(sec, dict):
+        raise ValueError(f"config section {key!r} must be an object, got {sec!r}")
+    return sec
+
+
 def _specs(cfg):
     levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
     drift = drift_mod.DriftSpec.from_json(cfg["drift"])
@@ -86,7 +94,7 @@ def _sim_config(cfg):
 
 
 def _fp_config(cfg):
-    fp = cfg["fixed_point"]
+    fp = _section(cfg, "fixed_point")
     return fixed_point.FixedPointConfig(max_iter=fp["max_iter"], w1_tol=fp["w1_tol"],
                                         sim=_sim_config(cfg),
                                         damping=fp.get("damping", 0.0))
@@ -166,13 +174,13 @@ def cmd_check(args, cfg, out):
     report = {}
     ok = True
     if "ex14" in cfg:
-        p = cfg["ex14"]
+        p = _section(cfg, "ex14")
         res = conditions.ex14_check(p["lam"], p["kappa"], p["beta"], p["eps"],
                                     p["r0"], p["a1"], p["a2"], levy)
         report["ex14"] = {k: res[k] for k in ("we_ok", "we2_ok", "convex_ok")}
         ok = ok and all(report["ex14"].values())
     if "ex15" in cfg:
-        p = cfg["ex15"]
+        p = _section(cfg, "ex15")
         res = conditions.ex15_check(p["lam"], p["kappa"], p["beta"], p["eps"],
                                     p["r0"], p["y1"], p["y2"], levy)
         report["ex15"] = {k: res[k] for k in ("eq1_ok", "wq2_ok")}
@@ -219,7 +227,7 @@ def cmd_selfconsistent(args, cfg, out):
 
 def cmd_constants(args, cfg, out):
     levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
-    p = cfg["appendix"]
+    p = _section(cfg, "appendix")
     sigma = None
     if "sigma_knots" in p:
         sigma = levy_mod.SigmaSpec(tuple(tuple(k) for k in p.pop("sigma_knots")))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import _h
-from .errors import CaseViolation, NotInTheta, QuadratureFailure, ZeroOverlap
+from .errors import (CaseViolation, NotInTheta, QuadratureFailure, ZeroOverlap,
+                     _check_numeric)
 from .levy import BALL, COMPLEMENT, J, SigmaSpec, tail_moment
 
 
@@ -332,6 +333,7 @@ class AppendixParams:
     sigma: SigmaSpec = None
 
     def __post_init__(self):
+        _check_numeric(self)
         if min(self.K1, self.K2, self.K3) <= 0:
             raise ValueError("K constants must be positive")
         if not (0.0 < self.kappa <= 1.0):

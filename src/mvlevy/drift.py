@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyMeasure, UnsupportedFamily,
-                     _config_kwargs)
+                     _check_numeric, _config_kwargs)
 from .measures import moment
 
 DOUBLE_WELL = "double_well"
@@ -54,6 +54,7 @@ class DriftSpec:
     g_params: tuple = (0.0,)
 
     def __post_init__(self):
+        _check_numeric(self)
         if self.lam <= 0:
             raise UnsupportedFamily("lam must be positive")
         if self.family == DOUBLE_WELL and self.a1 * self.a2 >= 0:
@@ -191,6 +192,7 @@ class A1Params:
     beta: float
 
     def __post_init__(self):
+        _check_numeric(self)
         if min(self.C_b, self.lam1, self.lam2) < 0:
             raise ValueError("C_b, lam1, lam2 must be nonnegative")
         if self.theta1 < 1.0 - self.beta / 2.0 - 1e-12:

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the check that
-turns a config section into dataclass keywords."""
+"""Exception hierarchy shared across the package, and the checks that
+turn a config section into dataclass keywords and its values into numbers."""
 
+import numbers
 from dataclasses import MISSING, fields
 
 
@@ -17,6 +18,17 @@ def _config_kwargs(cls, obj):
     if missing:
         raise ValueError(f"{cls.__name__} config lacks {missing}")
     return dict(obj)
+
+
+def _check_numeric(obj):
+    """ValueError unless every float- or int-typed field of the dataclass
+    obj holds a real number (a bool or a string is not one), so that the
+    range checks that follow compare numbers."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type in (float, int) and (isinstance(v, bool)
+                                       or not isinstance(v, numbers.Real)):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be a number, got {v!r}")
 
 
 class MvLevyError(Exception):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .drift import lyapunov_params
-from .errors import MvLevyError, NoiseFloorExceedsTol
+from .errors import MvLevyError, NoiseFloorExceedsTol, _check_numeric
 from .measures import EmpiricalMeasure, concentration, moment, w1
 from .simulate import SimConfig, frozen_trajectory
 
@@ -26,6 +26,7 @@ class FixedPointConfig:
     damping: float = 0.0
 
     def __post_init__(self):
+        _check_numeric(self)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.w1_tol <= 0:

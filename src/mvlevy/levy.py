@@ -20,6 +20,7 @@ from .errors import (
     InvalidRegion,
     QuadratureFailure,
     SigmaViolatesH2,
+    _check_numeric,
     _config_kwargs,
 )
 
@@ -63,6 +64,7 @@ class LevyMeasureSpec:
     jump_dist: tuple = ()
 
     def __post_init__(self):
+        _check_numeric(self)
         if self.kind not in (STABLE, TRUNCATED, COMPOUND):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind != COMPOUND and not (0.0 < self.alpha <= 2.0):

@@ -75,21 +75,52 @@ def h_fn(case, m):
     return float(val)
 
 
+# m-rows per block of _h_scan: a block's three 8 x 6001 float64 arrays
+# (1.2 MB) stay in cache; 8 was the fastest of 1-128 rows on a 2-core Xeon
+SCAN_BLOCK = 8
+
+
 def _h_scan(case, ms):
     """Vectorized h on an m-grid via a shared dense trapezoid rule.
 
     Accurate enough for sign scanning; root refinement goes back to the
-    adaptive h_fn.
+    adaptive h_fn.  The m-grid is walked SCAN_BLOCK rows at a time in
+    block-sized buffers, so memory does not grow with len(ms).  Each row
+    takes the same IEEE operations in the same order as the whole-matrix
+    rule
+        e = gamma outer(ms, xs) - xs^4 + beta xs^2;  e -= rowmax(e)
+        np.trapezoid((xs - m) exp(e), xs, axis=1)
+    and numpy sums each contiguous row pairwise whatever the block size,
+    so the result is bit-identical to that rule.
     """
     m_abs = float(np.abs(ms).max())
     lo, hi, _ = _support(case, m_abs)
     lo2, hi2, _ = _support(case, -m_abs)
     lo, hi = min(lo, lo2), max(hi, hi2)
     xs = np.linspace(lo, hi, 6001)
-    expo = case.gamma * np.outer(ms, xs) - xs ** 4 + case.beta * xs ** 2
-    expo -= expo.max(axis=1, keepdims=True)
-    dens = np.exp(expo)
-    return np.trapezoid((xs[None, :] - ms[:, None]) * dens, xs, axis=1)
+    x4 = xs ** 4
+    bx2 = case.beta * xs ** 2
+    dx = np.diff(xs)
+    out = np.empty(len(ms))
+    rows = np.empty((SCAN_BLOCK, xs.size))      # exponent, then integrand
+    pair = np.empty((SCAN_BLOCK, xs.size - 1))  # trapezoid terms
+    for i in range(0, len(ms), SCAN_BLOCK):
+        m = ms[i:i + SCAN_BLOCK, None]
+        k = len(m)
+        e, s = rows[:k], pair[:k]
+        np.multiply(m, xs, out=e)
+        e *= case.gamma
+        e -= x4
+        e += bx2
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e *= xs - m
+        # np.trapezoid's own rule: (d (y[1:] + y[:-1]) / 2).sum()
+        np.add(e[:, 1:], e[:, :-1], out=s)
+        s *= dx
+        s /= 2.0
+        s.sum(axis=1, out=out[i:i + k])
+    return out
 
 
 def root_count(case, m_max, grid_n, refine=True):

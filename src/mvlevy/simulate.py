@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Blowup, DimensionMismatch, _config_kwargs
+from .errors import Blowup, DimensionMismatch, _check_numeric, _config_kwargs
 from .drift import affine_coefficients, field_closure, measure_stats
 from .levy import STABLE, sample_increment
 from .measures import EmpiricalMeasure
@@ -36,6 +36,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numeric(self)
         if self.dt <= 0 or self.dt > 0.01:
             raise ValueError("dt must lie in (0, 0.01]")
         if not (0.0 <= self.burn_in_fraction < 1.0):
@@ -121,7 +122,8 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
     stats are the measure stats of a frozen measure, or None for the
     particle system: the drift then reads the stats of the current cloud
     at every step, and the blowup guard checks the cloud before each step
-    so that the stats are taken of finite states.
+    so that the stats are taken of finite states (the cloud's measure then
+    skips the EmpiricalMeasure validation).
 
     With frozen stats, pure stable noise and an affine drift
     b(x) = shift - rate x make the Euler chain X <- D X + shift dt + dZ
@@ -162,6 +164,8 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
         return kept
     cloud = stats is None
     field = None if cloud else field_closure(spec, stats)
+    # the particle cloud's empirical law: uniform weights on the current X
+    weights = np.full(n, 1.0 / n) if cloud else None
     keep = set(keep)
     step = 0
     while step < n_steps:
@@ -172,7 +176,7 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
                 if cloud:
                     _check_blowup(X, step)
                     field = field_closure(
-                        spec, measure_stats(spec, EmpiricalMeasure.from_samples(X)))
+                        spec, measure_stats(spec, EmpiricalMeasure._trusted(X, weights)))
                 step += 1
                 X = X + field(X) * dt + dZ[j]
                 if step in keep:

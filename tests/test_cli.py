@@ -57,6 +57,11 @@ class TestSample:
         assert main(["sample", "--set", "seed=1", "--set", "levy=3",
                      "--set", "levy.alpha=1", "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_numeric_value_is_validation_error(self, tmp_path, capsys):
+        assert main(["sample", "--set", "seed=1", "--set", 'levy.alpha="abc"',
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "LevyMeasureSpec.alpha must be a number" in capsys.readouterr().err
+
     def test_malformed_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "c.json"
         bad.write_text("{not json")
@@ -172,6 +177,17 @@ class TestCheck:
         assert main(["check", "--set", 'levy={"alpha": 1.8}',
                      "--set", 'm_star={"C_b": 1.0, "bogus": 1.0}',
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command, section", [
+        ("check", "ex14"), ("check", "ex15"), ("constants", "appendix"),
+        ("fixpoint", "fixed_point")])
+    def test_non_object_section_is_validation_error(self, tmp_path, capsys,
+                                                    command, section):
+        assert main([command, "--set", 'levy={"alpha": 1.8}',
+                     "--set", 'drift={"family": "mean_field_ou", "lam": 2.0}',
+                     "--set", f"sim={json.dumps(SIM_BLOCK)}",
+                     "--set", f"{section}=3", "--out", str(tmp_path / "o")]) == 2
+        assert f"config section '{section}' must be an object" in capsys.readouterr().err
 
 
 class TestSelfConsistent:

@@ -1,6 +1,8 @@
 """Tests for the scalar self-consistency analysis of the quartic gradient
 case and the mean-field Ornstein-Uhlenbeck dichotomy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,25 @@ from mvlevy import (
     root_count,
     stationary_density,
 )
-from mvlevy.selfconsistent import GAMMA_C, BetaCResult, GradientCase
+from mvlevy import selfconsistent
+from mvlevy.selfconsistent import GAMMA_C, BetaCResult, GradientCase, _h_scan, _support
+
+
+def _h_scan_whole_matrix(case, ms):
+    """The whole-matrix trapezoid rule that the blocked scan reproduces."""
+    m_abs = float(np.abs(ms).max())
+    lo, hi, _ = _support(case, m_abs)
+    lo2, hi2, _ = _support(case, -m_abs)
+    xs = np.linspace(min(lo, lo2), max(hi, hi2), 6001)
+    expo = case.gamma * np.outer(ms, xs) - xs ** 4 + case.beta * xs ** 2
+    expo -= expo.max(axis=1, keepdims=True)
+    dens = np.exp(expo)
+    return np.trapezoid((xs[None, :] - ms[:, None]) * dens, xs, axis=1)
+
+
+def _scan_grid(beta, grid_n):
+    m_max = max(6.0, 1.6 * np.sqrt(max(beta, 1.0)))
+    return np.linspace(-m_max, m_max, grid_n)
 
 
 class TestHFunction:
@@ -67,6 +87,41 @@ class TestRootCount:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             root_count(GradientCase(2.0, 1.0), 6.0, 500)
+
+    def test_scan_memory_is_bounded(self):
+        # the whole-matrix scan held several (grid_n, 6001) float64 arrays,
+        # about 4.5 GB at grid_n = 20000
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            res = root_count(GradientCase(2.0, 0.95), 6.0, 20000, refine=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert res["count"] == 3
+        assert peak - base < 64 * 2 ** 20
+
+
+class TestHScan:
+    @pytest.mark.parametrize("grid_n", [1000, 1003])
+    @pytest.mark.parametrize("gamma, beta", [(1.0, 0.001), (2.0, 0.91), (2.0, 3.0),
+                                             (2.5, 50.0), (4.0, 100.0)])
+    def test_bit_identical_to_whole_matrix(self, gamma, beta, grid_n):
+        # 1003 is not a multiple of the block size: the last block is partial
+        case = GradientCase(gamma, beta)
+        ms = _scan_grid(beta, grid_n)
+        assert np.array_equal(_h_scan(case, ms), _h_scan_whole_matrix(case, ms))
+
+    @pytest.mark.parametrize("block", [1, 13, 2000])
+    def test_block_size_does_not_change_bits(self, monkeypatch, block):
+        case = GradientCase(2.0, 0.95)
+        ms = _scan_grid(0.95, 1000)
+        monkeypatch.setattr(selfconsistent, "SCAN_BLOCK", block)
+        assert np.array_equal(_h_scan(case, ms), _h_scan_whole_matrix(case, ms))
 
 
 class TestBetaC:
