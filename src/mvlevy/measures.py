@@ -65,16 +65,6 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(pts, np.full(n, 1.0 / n))
 
     @staticmethod
-    def _trusted(points, weights):
-        """Measure on arrays the caller has already checked: finite (n, d)
-        float points and nonnegative weights summing to one.  Skips the
-        validation, for a cloud rebuilt at every Euler step."""
-        mu = object.__new__(EmpiricalMeasure)
-        object.__setattr__(mu, "points", points)
-        object.__setattr__(mu, "weights", weights)
-        return mu
-
-    @staticmethod
     def mixture(measures, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         pts = np.vstack([m.points for m in measures])

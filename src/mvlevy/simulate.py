@@ -122,8 +122,7 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
     stats are the measure stats of a frozen measure, or None for the
     particle system: the drift then reads the stats of the current cloud
     at every step, and the blowup guard checks the cloud before each step
-    so that the stats are taken of finite states (the cloud's measure then
-    skips the EmpiricalMeasure validation).
+    so that the stats are taken of finite states.
 
     With frozen stats, pure stable noise and an affine drift
     b(x) = shift - rate x make the Euler chain X <- D X + shift dt + dZ
@@ -164,8 +163,6 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
         return kept
     cloud = stats is None
     field = None if cloud else field_closure(spec, stats)
-    # the particle cloud's empirical law: uniform weights on the current X
-    weights = np.full(n, 1.0 / n) if cloud else None
     keep = set(keep)
     step = 0
     while step < n_steps:
@@ -176,7 +173,7 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
                 if cloud:
                     _check_blowup(X, step)
                     field = field_closure(
-                        spec, measure_stats(spec, EmpiricalMeasure._trusted(X, weights)))
+                        spec, measure_stats(spec, EmpiricalMeasure.from_samples(X)))
                 step += 1
                 X = X + field(X) * dt + dZ[j]
                 if step in keep:
