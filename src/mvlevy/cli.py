@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -83,6 +84,20 @@ def _section(cfg, key):
     return sec
 
 
+def _value(cfg, key, kind, default=None):
+    """cfg[key], or default when given and key is absent, checked to be a
+    kind (a bool is not a number)."""
+    v = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ValueError(f"config value {key!r} must be of type {kind.__name__}, got {v!r}")
+    return v
+
+
+def _reals(sec, *keys):
+    """The values of keys in sec, each checked to be a real number."""
+    return [_value(sec, k, numbers.Real) for k in keys]
+
+
 def _specs(cfg):
     levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
     drift = drift_mod.DriftSpec.from_json(cfg["drift"])
@@ -102,8 +117,8 @@ def _fp_config(cfg):
 
 def cmd_sample(args, cfg, out):
     levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
-    n = cfg.get("n", 10000)
-    dt = cfg.get("dt", 1.0)
+    n = _value(cfg, "n", numbers.Integral, 10000)
+    dt = _value(cfg, "dt", numbers.Real, 1.0)
     seed = cfg["seed"]
     gen = _rng.stream(seed)
     draws = levy_mod.sample_increment(levy, dt, gen, size=n)
@@ -154,10 +169,8 @@ def cmd_fixpoint(args, cfg, out):
 def cmd_multiplicity(args, cfg, out):
     levy, drift = _specs(cfg)
     fp = _fp_config(cfg)
-    seeds = cfg["seeds"]
-    rep = fixed_point.multiplicity_search(drift, levy, seeds,
-                                          cfg.get("M_star", 0.0), fp)
-    n_distinct = int(rep.distinct_pairs.any(axis=1).sum()) if len(seeds) > 1 else 1
+    rep = fixed_point.multiplicity_search(drift, levy, _value(cfg, "seeds", list),
+                                          _value(cfg, "M_star", numbers.Real, 0.0), fp)
     _dump(out, "report.json", {
         "seeds": [list(map(float, s)) for s in rep.seeds],
         "distinct_pairs": rep.distinct_pairs.tolist(),
@@ -175,14 +188,14 @@ def cmd_check(args, cfg, out):
     ok = True
     if "ex14" in cfg:
         p = _section(cfg, "ex14")
-        res = conditions.ex14_check(p["lam"], p["kappa"], p["beta"], p["eps"],
-                                    p["r0"], p["a1"], p["a2"], levy)
+        res = conditions.ex14_check(*_reals(p, "lam", "kappa", "beta", "eps", "r0",
+                                            "a1", "a2"), levy)
         report["ex14"] = {k: res[k] for k in ("we_ok", "we2_ok", "convex_ok")}
         ok = ok and all(report["ex14"].values())
     if "ex15" in cfg:
         p = _section(cfg, "ex15")
-        res = conditions.ex15_check(p["lam"], p["kappa"], p["beta"], p["eps"],
-                                    p["r0"], p["y1"], p["y2"], levy)
+        res = conditions.ex15_check(*_reals(p, "lam", "kappa", "beta", "eps", "r0"),
+                                    p["y1"], p["y2"], levy)
         report["ex15"] = {k: res[k] for k in ("eq1_ok", "wq2_ok")}
         ok = ok and all(report["ex15"].values())
     if "m_star" in cfg:
@@ -198,7 +211,7 @@ def cmd_check(args, cfg, out):
 
 
 def cmd_selfconsistent(args, cfg, out):
-    gamma = args.gamma if args.gamma is not None else cfg["gamma"]
+    gamma = args.gamma if args.gamma is not None else _value(cfg, "gamma", numbers.Real)
     report = {"gamma": gamma, "formula_value":
               (12.0 - gamma ** 2) / (2.0 * gamma) if gamma < selfconsistent.GAMMA_C else 0.0}
     if args.beta_scan:
@@ -213,7 +226,7 @@ def cmd_selfconsistent(args, cfg, out):
         _write_csv(os.path.join(out, "beta_scan.csv"), ["beta", "root_count"], rows)
         report["beta_scan"] = {str(float(b)): int(c) for b, c in rows}
     else:
-        bc = selfconsistent.beta_c(gamma, cfg.get("tol", 0.02))
+        bc = selfconsistent.beta_c(gamma, _value(cfg, "tol", numbers.Real, 0.02))
         report["beta_c"] = bc.value
         report["supercritical"] = bc.supercritical
     if args.beta is not None:
@@ -227,11 +240,12 @@ def cmd_selfconsistent(args, cfg, out):
 
 def cmd_constants(args, cfg, out):
     levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
-    p = _section(cfg, "appendix")
-    sigma = None
+    p = dict(_section(cfg, "appendix"))
+    if "sigma" in p:
+        raise ValueError("appendix takes its sigma profile as sigma_knots")
     if "sigma_knots" in p:
-        sigma = levy_mod.SigmaSpec(tuple(tuple(k) for k in p.pop("sigma_knots")))
-    ap = conditions.AppendixParams(sigma=sigma, **p)
+        p["sigma"] = levy_mod.SigmaSpec(tuple(tuple(k) for k in p.pop("sigma_knots")))
+    ap = conditions.AppendixParams(**_config_kwargs(conditions.AppendixParams, p))
     res = conditions.appendix_constants(ap, levy)
     _dump(out, "report.json", {
         "c": res.c, "a": res.a, "eps": res.eps, "lambda0": res.lambda0,

@@ -104,7 +104,7 @@ def _select_l(levy, beta, cap):
     while l <= 2.0 ** 20:
         tail = 2.0 ** (beta / 2.0) * tail_moment(levy, beta / 2.0, COMPLEMENT, l)
         if tail <= cap:
-            return l, tail
+            return l
         l *= 2.0
     raise QuadratureFailure("no l on the doubling grid meets the tail cap")
 
@@ -126,7 +126,7 @@ def m_star(params, levy):
     b, l1, l2, t1 = p.beta, p.lam1, p.lam2, p.theta1
     if case == "i":
         delta = 2.0 ** (-(7.0 + t1) / 2.0) * b * l1
-        l, tail = _select_l(levy, b, delta / 2.0)
+        l = _select_l(levy, b, delta / 2.0)
         eps1 = l1 / (2.0 ** ((3.0 + t1) / 2.0) * l2) if l2 > 0 else 1.0
         eps2 = delta / b
         ThetaTuple(eps1, eps2, 1.0, l)  # raises unless eps1, eps2 > 0
@@ -147,7 +147,7 @@ def m_star(params, levy):
                 "chosen_eps": (eps1, eps2), "r0": 1.0, "case": "i"}
     # case (ii)
     cap = b * (l1 - l2) / 8.0
-    l, tail = _select_l(levy, b, cap)
+    l = _select_l(levy, b, cap)
     g1 = p.gamma1
     eps1 = g1 if g1 > 0 else 1.0
     eps2 = (l1 - l2) / 8.0
@@ -168,6 +168,37 @@ def chosen_tuple(report):
 
 
 # ---------------------------------------------------------------------------
+# multiplicity criteria: the shared jump-noise term and witness search
+
+
+def _jump_noise(levy, beta, eps):
+    """The jump-noise term shared by the multiplicity criteria, as a
+    function of the radius r:
+        2^{beta/2} nu_half r^{beta/2} + nu_beta + (beta/2) eps^{beta/2-1} nu_small
+    with nu_half = nu(|.|^{beta/2} 1_{>1}), nu_beta = nu(|.|^beta 1_{>1}) and
+    nu_small = nu(|.|^2 1_{<=1}).  Checks beta in (1, alpha) and eps > 0."""
+    if not (1.0 < beta < levy.alpha):
+        raise ValueError("need beta in (1, alpha)")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    nu_half = tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0)
+    nu_beta = tail_moment(levy, beta, COMPLEMENT, 1.0)
+    nu_small = tail_moment(levy, 2.0, BALL, 1.0)
+    const = nu_beta + (beta / 2.0) * eps ** (beta / 2.0 - 1.0) * nu_small
+    return lambda r: 2.0 ** (beta / 2.0) * nu_half * r ** (beta / 2.0) + const
+
+
+def _witness(check, ok_key, r0_max, n_eps, n_r0):
+    """First (eps, r0) on a grid, logarithmic in eps and linear in r0 below
+    its ceiling r0_max, where check(eps, r0)[ok_key] holds; None if none."""
+    for eps in np.logspace(-4, 0, n_eps):
+        for r0 in np.linspace(r0_max * 0.999, r0_max / n_r0, n_r0):
+            if check(float(eps), float(r0))[ok_key]:
+                return float(eps), float(r0)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # double-well multiplicity criteria (three wells in d = 1)
 
 
@@ -183,26 +214,17 @@ def ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy):
     """
     if a1 * a2 >= 0:
         raise ValueError("need a1 * a2 < 0")
-    if not (1.0 < beta < levy.alpha):
-        raise ValueError("need beta in (1, alpha)")
+    noise = _jump_noise(levy, beta, eps)
     amin = min(abs(a1), abs(a2))
     if not (0.0 < r0 < amin / 4.0):
         raise ValueError("need r0 in (0, min(|a1|, |a2|)/4)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     ratio = kappa / lam
     we_ok = ratio >= 1.0 + 2.0 * (a1 ** 2 - a1 * a2 + a2 ** 2) / ((beta - 1.0) * (2.0 + beta))
 
-    nu_half = tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0)
-    nu_beta = tail_moment(levy, beta, COMPLEMENT, 1.0)
-    nu_small = tail_moment(levy, 2.0, BALL, 1.0)
-
     lhs = (1.0 / (lam * beta)) * (
         kappa * beta * r0 ** beta
-        + 2.0 ** (beta / 2.0) * nu_half * r0 ** (beta / 2.0)
         + eps ** (beta / 2.0) * beta * (lam * (max(a1 ** 2, a2 ** 2) - a1 * a2) + kappa)
-        + nu_beta
-        + (beta / 2.0) * eps ** (beta / 2.0 - 1.0) * nu_small)
+        + noise(r0))
     rhs = r0 ** beta * ((r0 - amin) * (r0 - abs(a1 - a2)) + (ratio - 1.0))
     we2_ok = lhs <= rhs
 
@@ -219,10 +241,8 @@ def ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy):
         return (lam * beta * r1 ** beta
                 * (r1 ** 2 - abs(2.0 * a - b) * r1 + a * (a - b) + ratio - 1.0)
                 - kappa * beta * r1 ** (beta - 1.0) * r2
-                - 2.0 ** (beta / 2.0) * nu_half * r1 ** (beta / 2.0)
                 - eps ** (beta / 2.0) * beta * (lam * a * (a - b) + kappa)
-                - nu_beta
-                - (beta / 2.0) * eps ** (beta / 2.0 - 1.0) * nu_small)
+                - noise(r1))
 
     return {"we_ok": bool(we_ok), "we2_ok": bool(we2_ok),
             "convex_ok": bool(convex_ok), "g": g, "pairs": pairs}
@@ -234,13 +254,8 @@ def ex14_feasibility(lam, kappa, beta, a1, a2, levy, n_eps=25, n_r0=40):
     Returns (eps, r0) or None; the grid is logarithmic in eps and linear
     in r0 below its admissible ceiling.
     """
-    amin = min(abs(a1), abs(a2))
-    for eps in np.logspace(-4, 0, n_eps):
-        for r0 in np.linspace(amin / 4.0 * 0.999, amin / (4.0 * n_r0), n_r0):
-            res = ex14_check(lam, kappa, beta, float(eps), float(r0), a1, a2, levy)
-            if res["we2_ok"]:
-                return float(eps), float(r0)
-    return None
+    return _witness(lambda eps, r0: ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy),
+                    "we2_ok", min(abs(a1), abs(a2)) / 4.0, n_eps, n_r0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +271,15 @@ def ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy):
         raise ValueError("y1 and y2 must differ")
     if not (0.0 < r0 < delta / 4.0):
         raise ValueError("need r0 in (0, |y1-y2|/4)")
-    if not (1.0 < beta < levy.alpha):
-        raise ValueError("need beta in (1, alpha)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    noise = _jump_noise(levy, beta, eps)
     ratio = kappa / lam
     eq1_ok = ratio >= eps + (beta ** 2 + beta + 16.0) * delta ** 2 / (
         16.0 * (beta + 2.0) * (beta - 1.0))
 
-    nu_half = tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0)
-    nu_beta = tail_moment(levy, beta, COMPLEMENT, 1.0)
-    nu_small = tail_moment(levy, 2.0, BALL, 1.0)
-
     lhs = (1.0 / (lam * beta)) * (
         lam * beta * eps * r0 ** beta
-        + 2.0 ** (beta / 2.0) * nu_half * r0 ** (beta / 2.0)
         + lam * beta * eps ** (beta / 2.0) * (0.5 * delta ** 2 + ratio)
-        + nu_beta
-        + (beta / 2.0) * eps ** ((beta - 2.0) / 2.0) * nu_small)
+        + noise(r0))
     rhs = r0 ** beta * (r0 - delta) * (r0 - delta / 2.0)
     wq2_ok = lhs <= rhs
 
@@ -284,9 +290,7 @@ def ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy):
             + (0.5 * delta ** 2 + ratio - eps) * r1 ** beta
             - (0.5 * delta ** 2 + ratio) * eps ** (beta / 2.0)
             - ratio * r1 ** (beta - 1.0) * r2)
-            - 2.0 ** (beta / 2.0) * nu_half * r1 ** (beta / 2.0)
-            - (beta / 2.0) * eps ** ((beta - 2.0) / 2.0) * nu_small
-            - nu_beta)
+            - noise(r1))
 
     return {"eq1_ok": bool(eq1_ok), "wq2_ok": bool(wq2_ok), "g": g,
             "delta": delta}
@@ -295,12 +299,8 @@ def ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy):
 def ex15_feasibility(lam, kappa, beta, y1, y2, levy, n_eps=25, n_r0=40):
     """(eps, r0) witness search for the two-well feasibility inequality."""
     delta = float(np.linalg.norm(np.asarray(y1, float) - np.asarray(y2, float)))
-    for eps in np.logspace(-4, 0, n_eps):
-        for r0 in np.linspace(delta / 4.0 * 0.999, delta / (4.0 * n_r0), n_r0):
-            res = ex15_check(lam, kappa, beta, float(eps), float(r0), y1, y2, levy)
-            if res["wq2_ok"]:
-                return float(eps), float(r0)
-    return None
+    return _witness(lambda eps, r0: ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy),
+                    "wq2_ok", delta / 4.0, n_eps, n_r0)
 
 
 # ---------------------------------------------------------------------------

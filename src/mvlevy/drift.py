@@ -16,10 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import (DimensionMismatch, EmptyMeasure, UnsupportedFamily,
                      _check_numeric, _config_kwargs)
 from .measures import moment
+from .rng import stream
 
 DOUBLE_WELL = "double_well"
 TWO_WELL = "symmetric_two_well"
@@ -231,76 +233,70 @@ class A1Params:
         return _h(r)
 
 
-def _grid_sup(fn, lo=-50.0, hi=50.0, n=4001):
-    """Supremum of a 1-d residual on a grid with one local refinement pass."""
-    xs = np.linspace(lo, hi, n)
-    vals = fn(xs)
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n - 1)]
-    fine = np.linspace(a, b, 2001)
-    return float(max(vals.max(), fn(fine).max()))
+def _sup(fn, dim):
+    """Supremum over R^dim of fn, a function of an (n, dim) block that
+    tends to -inf at infinity.
+
+    fn is taken at 501 radii in [0, 50] along +-1 (d = 1) or along 256
+    seeded random unit directions.  The local maxima along the rays are
+    candidate starts, and the best 8 of them that lie more than 0.5 apart
+    are polished by BFGS: the spacing keeps starts that crowd one peak
+    from hiding another peak that lies between the rays.
+    """
+    if dim == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        dirs = stream(7).standard_normal((256, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    X = np.linspace(0.0, 50.0, 501)[None, :, None] * dirs[:, None, :]
+    vals = fn(X.reshape(-1, dim)).reshape(X.shape[:2])
+    padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=-np.inf)
+    ray, k = np.nonzero((vals >= padded[:, :-2]) & (vals >= padded[:, 2:]))
+    best = float(vals.max())
+    starts = []
+    for i in np.argsort(vals[ray, k])[::-1]:
+        x = X[ray[i], k[i]]
+        if all(np.linalg.norm(x - s) > 0.5 for s in starts):
+            starts.append(x)
+            res = optimize.minimize(lambda v: -fn(v[None, :])[0], x, method="BFGS")
+            best = max(best, -float(res.fun))
+            if len(starts) == 8:
+                break
+    return best
 
 
 def lyapunov_params(spec, beta=None, alpha=None):
     """Known (C_b, lam1, lam2, theta) bundle for a built-in family.
 
     beta defaults to (1 + alpha)/2 for stable alpha in (1, 2), else 1.5.
-    C_b is a numerical supremum of the measure-free residual over
-    [-50, 50] with a 5 percent margin.
+    The measure enters every family's drift through kappa (through the mean
+    for mean_field_ou), and kappa <x, mean(mu)> <= lam2 (1+|x|^2)^{theta2/2}
+    mu(|.|), so C_b is 5 percent above the supremum of the measure-free
+    residual <x, b(x, .)> + lam1 |x|^{1+theta1}, with every measure stat
+    set to zero.  The asymmetric cubic's mu(g) term adds kappa sup|g| |x|.
     """
     if beta is None:
         if alpha is not None and 1.0 < alpha < 2.0:
             beta = (1.0 + alpha) / 2.0
         else:
             beta = 1.5
-    lam, kap = spec.lam, spec.kappa
-    if spec.family == DOUBLE_WELL:
-        a1, a2 = spec.a1, spec.a2
-
-        def resid(x):
-            return -lam * x ** 2 * (x - a1) * (x - a2) - kap * x ** 2 + (lam / 2.0) * x ** 4
-
-        C_b = max(_grid_sup(resid) * 1.05, 1e-9)
-        return A1Params(C_b, lam / 2.0, kap, 3.0, 1.0, 1.0, 1.0, beta)
-    if spec.family == ASYM_CUBIC:
-        gsup = spec.g_sup
-
-        def resid(x):
-            return (-lam * x ** 2 * (x - 1.0) * (x + 2.0) + (lam / 2.0) * x ** 4
-                    + kap * gsup * np.abs(x))
-
-        C_b = max(_grid_sup(resid) * 1.05, 1e-9)
-        return A1Params(C_b, lam / 2.0, kap, 3.0, spec.beta, 1.0, 1.0, beta)
-    if spec.family == TWO_WELL:
-        y1 = np.asarray(spec.y1, dtype=float)
-        y2 = np.asarray(spec.y2, dtype=float)
-        d = len(y1)
-        gen = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
-        if d == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            dirs = gen.standard_normal((64, d))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = np.linspace(0.0, 50.0, 2001)[1:]
-        best = 0.0
-        for u in dirs:
-            X = radii[:, None] * u[None, :]
-            d1 = X - y1
-            d2 = X - y2
-            n1 = np.sum(d1 ** 2, axis=1)
-            n2 = np.sum(d2 ** 2, axis=1)
-            inner = -(lam / 2.0) * (np.sum(X * d1, axis=1) * n2 + np.sum(X * d2, axis=1) * n1)
-            resid = inner + (lam / 2.0) * np.sum(X ** 2, axis=1) ** 2
-            best = max(best, float(resid.max()))
-        C_b = max(best * 1.05, 1e-9)
-        return A1Params(C_b, lam / 2.0, kap, 3.0, 1.0, 1.0, 1.0, beta)
+    lam1 = spec.lam / 2.0
     if spec.family == MEAN_FIELD_OU:
-        if lam <= 0:
-            raise UnsupportedFamily("mean-field OU needs lam > 0")
-        # <x,b> = -lam x^2 + x mean(mu) <= -(lam/2)|x|^2 + (1+x^2)^{1/2} mu(|.|)
-        return A1Params(1e-9, lam / 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, beta)
-    raise UnsupportedFamily(spec.family)
+        lam2, theta1, theta2 = 1.0, 1.0, 1.0
+    else:
+        lam2, theta1 = spec.kappa, 3.0
+        theta2 = spec.beta if spec.family == ASYM_CUBIC else 1.0
+    g_term = spec.kappa * spec.g_sup if spec.family == ASYM_CUBIC else 0.0
+    field = field_closure(spec, {"mean": np.zeros(spec.dim), "abs_moment": 0.0,
+                                 "g_moment": 0.0})
+
+    def resid(X):
+        nx2 = np.sum(X * X, axis=1)
+        return (np.sum(X * field(X), axis=1) + lam1 * nx2 ** ((1.0 + theta1) / 2.0)
+                + g_term * np.sqrt(nx2))
+
+    C_b = max(_sup(resid, spec.dim) * 1.05, 1e-9)
+    return A1Params(C_b, lam1, lam2, theta1, theta2, 1.0, 1.0, beta)
 
 
 def verify_E12(spec, params, grid, mus):

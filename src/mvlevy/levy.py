@@ -202,7 +202,11 @@ def overlap_mass(spec, x):
     min(nu(z), nu(z - x)) dz.
 
     Finite for stable specs as soon as x != 0; the min removes both
-    singularities.  Quadrature splits at the symmetry point |x|/2.
+    singularities.  A stable density is radially decreasing, so the min
+    picks the center farther from z and the overlap is 2 nu of the
+    halfspace beyond the bisector plane, in closed form in every
+    dimension.  Truncated and compound kinds are integrated by quadrature
+    in d = 1, split at the singular points 0, x and the crossover x/2.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(x))
@@ -214,29 +218,22 @@ def overlap_mass(spec, x):
         raise InfiniteOverlap("overlap at x = 0 is the (infinite) total mass")
     if spec.kind != COMPOUND and spec.alpha >= 2.0:
         return 0.0
-    if spec.dim == 1:
-        # min(nu(z), nu(z-x)) picks the farther center; integrate each half
-        xr = r
-
-        def integrand(z):
-            return min(float(spec.levy_density([z])[0]),
-                       float(spec.levy_density([z - xr])[0]))
-
-        pieces = []
-        # singular points 0 and x; crossover at x/2
-        for lo, hi in [(-np.inf, 0.0), (0.0, xr / 2.0), (xr / 2.0, xr), (xr, np.inf)]:
-            val, err = integrate.quad(integrand, lo, hi, limit=200)
-            pieces.append(val)
-        return float(sum(pieces))
-    # d >= 2, pure stable / truncated: use the bisector-plane identity
-    #   overlap = 2 * nu({z . x/|x| > |x|/2})
-    # and reduce the halfspace mass to a 1-d integral over the first coordinate.
     if spec.kind == STABLE:
+        # nu({z . x/|x| > r/2}) = C A (r/2)^{-alpha} / alpha, A = 1 in d = 1
         a = spec.alpha
         d = spec.dim
         A = math.pi ** ((d - 1) / 2.0) * Gamma((a + 1.0) / 2.0) / Gamma((d + a) / 2.0)
         return 2.0 * spec.density_constant * A * (r / 2.0) ** (-a) / a
-    raise QuadratureFailure("overlap unsupported for this spec in d >= 2")
+    if spec.dim > 1:
+        raise QuadratureFailure("overlap unsupported for this spec in d >= 2")
+
+    def integrand(z):
+        return min(float(spec.levy_density([z])[0]),
+                   float(spec.levy_density([z - r])[0]))
+
+    return float(sum(integrate.quad(integrand, lo, hi, limit=200)[0]
+                     for lo, hi in [(-np.inf, 0.0), (0.0, r / 2.0), (r / 2.0, r),
+                                    (r, np.inf)]))
 
 
 def J(spec, r):

@@ -228,8 +228,8 @@ def stationary_density(case, m, grid):
     lo, hi, fmax = _support(case, m)
     if grid.min() > lo or grid.max() < hi:
         raise QuadratureFailure("grid does not cover the effective support")
-    mass, err = integrate.quad(lambda x: np.exp(case.exponent(x, m) - fmax),
-                               lo, hi, limit=200)
+    mass, _ = integrate.quad(lambda x: np.exp(case.exponent(x, m) - fmax),
+                             lo, hi, limit=200)
     if mass <= 0:
         raise QuadratureFailure("degenerate normalizing mass")
     return np.exp(case.exponent(grid, m) - fmax) / mass

@@ -1,9 +1,9 @@
 """Euler integration of the frozen-measure SDE and the interacting
 particle system, with time-averaged occupation measures as output.
 
-Chains advance as one vectorized block; every chain owns a counter-based
-stream keyed by (seed, stream id), so the result is independent of how the
-work is scheduled.  The frozen-measure runs and the particle system share
+Chains advance as one vectorized block drawing from one stream keyed by
+(seed, stream key), so the result is independent of how the work is
+scheduled.  The frozen-measure runs and the particle system share
 one integrator: the particle system is the mode whose drift reads the
 measure stats of the current cloud at every step.  With a frozen measure,
 pure stable noise and an affine drift the Euler chain is an AR(1) process,
@@ -115,7 +115,7 @@ def _kept_steps(cfg):
     return range(burn + cfg.thin, n_steps + 1, cfg.thin)
 
 
-def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
+def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     """Advance all chains by T/dt Euler steps of size dt; returns the
     states after each step in keep (increasing), one (n, d) block per step.
 
@@ -136,14 +136,14 @@ def _run_euler(spec, stats, levy, X, cfg, keep, stream_base):
 
     Every other case takes the Euler steps one by one, with increments
     drawn in chunks of steps to amortize generator overhead.  Either way
-    the draw order is fixed by (seed, stream) alone.
+    the draw order is fixed by the stream key (cfg.seed, *key) alone.
     """
     n, d = X.shape
     if levy.dim != d:
         raise DimensionMismatch(f"noise has dim {levy.dim}, drift wants {d}")
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
-    gen = _rng.stream(cfg.seed, stream_base)
+    gen = _rng.stream(cfg.seed, *key)
     aff = None if stats is None else affine_coefficients(spec, stats)
     kept = []
     # overflow in the updates is the blowup signal, not an error; the guard
@@ -188,7 +188,8 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, stream_base=0):
     Euler scheme with exact stable increments (for an affine drift under
     stable noise, jumps between kept states that are exact in law); the
     frozen measure is never updated during the run.  On a blowup the step
-    size is halved once and the run retried before the error propagates.
+    size is halved once and the run retried, on a stream of its own,
+    before the error propagates.
     """
     if frozen.dim != spec.dim:
         raise DimensionMismatch("frozen measure dimension mismatch")
@@ -199,10 +200,12 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, stream_base=0):
         kept = _run_euler(spec, stats, levy, X, cfg, _kept_steps(cfg), stream_base)
         dt_used = cfg.dt
     except Blowup:
-        # one retry at half the step, then give up
+        # one retry at half the step, then give up; the extra key word gives
+        # the retry fresh increments, so the jump that blew up the first
+        # attempt does not come back
         X = _initial_states(x0, cfg.n_chains, spec.dim, gen0)
         cfg2 = replace(cfg, dt=cfg.dt / 2.0, thin=cfg.thin * 2)
-        kept = _run_euler(spec, stats, levy, X, cfg2, _kept_steps(cfg2), stream_base)
+        kept = _run_euler(spec, stats, levy, X, cfg2, _kept_steps(cfg2), stream_base, 1)
         dt_used = cfg2.dt
     pts = np.concatenate(kept, axis=0)
     n = pts.shape[0]

@@ -237,6 +237,43 @@ class TestConstants:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+FP_RUN = ["--set", 'levy={"alpha": 1.8}',
+          "--set", 'drift={"family": "mean_field_ou", "lam": 2.0}',
+          "--set", f"sim={json.dumps(SIM_BLOCK)}",
+          "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.1}']
+EX14 = {"lam": 1.0, "kappa": 4.5, "beta": 1.5, "eps": 1e-4, "r0": 0.24975,
+        "a1": -1.0, "a2": 1.0}
+
+
+class TestRawConfigValues:
+    """Config values read outside the spec dataclasses are type-checked
+    and a bad one exits 2, not with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--set", "levy={}", "--set", "appendix.bogus=1"],
+        ["constants", "--set", "levy={}", "--set", "appendix.sigma=1"],
+        ["selfconsistent", "--set", 'gamma="a"'],
+        ["selfconsistent", "--gamma", "2", "--set", 'tol="a"'],
+        ["multiplicity", *FP_RUN, "--set", "seeds=3"],
+        ["multiplicity", *FP_RUN, "--set", "seeds=[[0.0], [1.0]]",
+         "--set", 'M_star="a"'],
+        ["sample", "--set", "seed=1", "--set", 'levy={"alpha": 1.8}',
+         "--set", 'n="a"'],
+        ["sample", "--set", "seed=1", "--set", 'levy={"alpha": 1.8}',
+         "--set", "dt=true"],
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", f"ex14={json.dumps(dict(EX14, lam='a'))}"],
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", 'ex15={"lam": 1, "kappa": 3, "beta": "a", "eps": 1e-4, '
+                  '"r0": 0.4, "y1": [1], "y2": [-1]}'],
+    ], ids=["appendix-unknown-key", "appendix-sigma-key", "gamma-string",
+            "tol-string", "seeds-scalar", "m-star-string", "n-string",
+            "dt-bool", "ex14-string", "ex15-string"])
+    def test_bad_value_is_validation_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "error: invalid input" in capsys.readouterr().err
+
+
 def test_console_script_smoke(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"levy": {"kind": "stable", "alpha": 1.5},

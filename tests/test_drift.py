@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlevy import (
     A1Params,
@@ -257,6 +259,28 @@ class TestLyapunovParams:
             assert rep["ok"], (spec.family, rep["violations"][:3])
             assert rep["worst_slack"] >= 0.0
 
+    @pytest.mark.parametrize("spec, sup", [
+        # double well at a = -1, 1: sup of -(lam/2) x^4 + (lam - kappa) x^2
+        (DriftSpec("double_well", lam=2.0, kappa=0.5, a1=-1.0, a2=1.0), 1.5 ** 2 / 4.0),
+        # the two-well residual keeps its -kappa |x|^2 term: same form
+        (DriftSpec("symmetric_two_well", lam=1.0, kappa=0.2, y1=(1.0,), y2=(-1.0,)),
+         0.8 ** 2 / 2.0),
+        (DriftSpec("mean_field_ou", lam=2.0), 0.0),
+    ], ids=["double_well", "two_well", "mean_field_ou"])
+    def test_C_b_closed_form(self, spec, sup):
+        C_b = lyapunov_params(spec, beta=1.5).C_b
+        assert C_b == pytest.approx(max(1.05 * sup, 1e-9), rel=1e-9)
+
+    def test_two_well_d3_off_ray_maximum(self):
+        # the residual peaks near (3.06, 0.05, 0.44), between the fixed
+        # search rays; ray maxima alone gave C_b = 16.9 and slack -14
+        spec = DriftSpec("symmetric_two_well", lam=1.0, kappa=0.0,
+                         y1=(2.0, 0.0, 0.0), y2=(0.0, 0.0, 0.0))
+        grid = np.random.default_rng(3).uniform(-5.0, 5.0, (20000, 3))
+        rep = verify_E12(spec, lyapunov_params(spec, beta=1.5), grid,
+                         [EmpiricalMeasure.dirac([0.0, 0.0, 0.0])])
+        assert rep["ok"], rep["worst_slack"]
+
     def test_inflated_rate_fails(self):
         from dataclasses import replace
 
@@ -267,3 +291,39 @@ class TestLyapunovParams:
         rep = verify_E12(spec, bad, grid, [EmpiricalMeasure.dirac(0.0)])
         assert not rep["ok"]
         assert rep["worst_slack"] < 0.0
+
+
+_coef = st.floats(0.2, 3.0)
+_well = st.floats(0.1, 3.0)
+
+
+@st.composite
+def _cubic_specs(draw):
+    """Random double-well, asymmetric-cubic and two-well specs, the last
+    in d = 1, 2 and 3."""
+    lam, kappa = draw(_coef), draw(st.floats(0.0, 5.0))
+    family = draw(st.sampled_from(["double_well", "asymmetric_cubic",
+                                   "symmetric_two_well"]))
+    if family == "double_well":
+        return DriftSpec(family, lam=lam, kappa=kappa, a1=-draw(_well), a2=draw(_well))
+    if family == "asymmetric_cubic":
+        g_kind = draw(st.sampled_from(["tanh_scaled", "cosine", "constant"]))
+        c = draw(st.floats(-2.0, 2.0))
+        g_params = (c,) if g_kind == "constant" else (c, draw(_coef))
+        return DriftSpec(family, lam=lam, kappa=kappa, beta=draw(st.floats(1.0, 2.0)),
+                         g_kind=g_kind, g_params=g_params)
+    d = draw(st.integers(1, 3))
+    well = st.tuples(*[st.floats(-2.0, 2.0)] * d)
+    return DriftSpec(family, lam=lam, kappa=kappa, y1=draw(well), y2=draw(well))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_cubic_specs())
+def test_dissipativity_holds_for_random_specs(spec):
+    gen = np.random.default_rng(8)
+    d = spec.dim
+    grid = gen.uniform(-8.0, 8.0, (3000, d))
+    mus = [EmpiricalMeasure.dirac(np.zeros(d)), _uniform_cloud(gen, 40, d),
+           EmpiricalMeasure.dirac(np.full(d, 3.0))]
+    rep = verify_E12(spec, lyapunov_params(spec, beta=1.5), grid, mus)
+    assert rep["ok"], rep["violations"][:3]

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no function
+binds a local name it never reads."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mvlevy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -21,3 +23,53 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def _own_stores(fn):
+    """Names assigned in fn's own scope (not in nested functions or
+    classes), with the line of their first assignment."""
+    stores, todo = {}, list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, FUNCTIONS + (ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = min(node.lineno, stores.get(node.id, node.lineno))
+        todo.extend(ast.iter_child_nodes(node))
+    return stores
+
+
+def _dead_locals(tree):
+    dead = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        # a read anywhere inside fn counts, closures included; an augmented
+        # assignment reads its target
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in ast.walk(fn)
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        dead += [(line, fn.name, name) for name, line in _own_stores(fn).items()
+                 if name not in read and name != "_"]
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_local_bindings(path):
+    dead = _dead_locals(ast.parse(path.read_text()))
+    assert not dead, f"{path.name}: locals bound and never read (line, function, name): {dead}"
+
+
+def test_dead_local_check_sees_unpacking_and_closures():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    a, err = xs\n"
+        "    n = 0\n"
+        "    n += 1\n"
+        "    for i, _ in xs:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g\n")
+    assert _dead_locals(tree) == [(2, "f", "err"), (5, "f", "i")]

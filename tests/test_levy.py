@@ -103,7 +103,7 @@ def test_brownian_case_has_no_jump_part():
 
 
 def test_overlap_closed_form_1d():
-    # quadrature route must agree with 2 C (|x|/2)^{-a} / a
+    # the stable kind returns 2 C (|x|/2)^{-a} / a in d = 1 (A = 1)
     for alpha, scale, x in ((1.2, 1.0, 1.0), (1.7, 0.5, 2.5), (0.8, 2.0, 0.7)):
         spec = LevyMeasureSpec(alpha=alpha, scale=scale)
         want = 2.0 * spec.density_constant * (x / 2.0) ** (-alpha) / alpha
@@ -121,6 +121,22 @@ def test_overlap_2d_against_riemann_sum():
     rhs = spec.levy_density(Z - x)
     riemann = float(np.sum(np.minimum(lhs, rhs)) * dz * dz)
     assert overlap_mass(spec, x) == pytest.approx(riemann, rel=2e-2)
+
+
+def test_overlap_truncated_1d_against_riemann_sum():
+    # the quadrature branch: truncation at R = 3 cuts the support of the
+    # min to [x - R, R], with jumps at both ends and a kink at x/2
+    spec = LevyMeasureSpec(kind="truncated_stable", alpha=1.5, scale=1.0, cutoff=3.0)
+    x = 1.2
+    lo, hi = x - 3.0, 3.0
+    n = 400000
+    z = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+    dens = np.minimum(spec.levy_density(z[:, None]), spec.levy_density(z[:, None] - x))
+    riemann = float(dens.sum() * (hi - lo) / n)
+    assert overlap_mass(spec, [x]) == pytest.approx(riemann, rel=1e-4)
+    # truncation only removes mass from the stable overlap
+    stable = overlap_mass(LevyMeasureSpec(alpha=1.5, scale=1.0), [x])
+    assert overlap_mass(spec, [x]) < stable
 
 
 def test_overlap_at_zero():
@@ -154,6 +170,20 @@ def test_sampler_self_similarity():
     a = sample_increment(spec, 2.0, gen, size=40000)[:, 0]
     b = sample_increment(spec, 1.0, gen, size=40000)[:, 0] * 2.0 ** (1.0 / 1.5)
     assert ks_2samp(a, b).pvalue > 0.01
+
+
+def test_stream_key_words():
+    def draws(*words):
+        seq = np.random.SeedSequence(list(words))
+        return np.random.Generator(np.random.PCG64(seq)).random(4)
+
+    # one- and two-word keys keep the (seed, stream id) streams they had
+    assert np.array_equal(mvrng.stream(5).random(4), draws(5, 0))
+    assert np.array_equal(mvrng.stream(5, 7).random(4), draws(5, 7))
+    assert np.array_equal(mvrng.stream(5, 7, 1).random(4), draws(5, 7, 1))
+    # a nonzero extra word gives a new stream; a trailing zero word would not
+    assert not np.array_equal(mvrng.stream(5, 7, 1).random(4), draws(5, 7))
+    assert np.array_equal(mvrng.stream(5, 7, 0).random(4), draws(5, 7))
 
 
 def test_sampler_gaussian_branch_variance():

@@ -108,6 +108,19 @@ class TestFrozenTrajectory:
         assert occ.dt == 0.005
         assert np.all(np.abs(occ.points) < 3.0)
 
+    def test_retry_draws_fresh_increments(self):
+        # the double-well multiplicity shape: on this stream an increment of
+        # size 91 overflows the dt = 0.002 run at step 4864; a retry that
+        # replayed the stream would meet the same jump (about 62 at dt/2,
+        # past the new stability radius of 45) and overflow again
+        spec = DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0)
+        cfg = SimConfig(dt=0.002, T=20.0, n_chains=300, thin=100, seed=202)
+        occ = frozen_trajectory(spec, EmpiricalMeasure.dirac(-1.0),
+                                LevyMeasureSpec(alpha=1.8, scale=0.025), -1.0, cfg,
+                                stream_base=10_000_000)
+        assert occ.dt == 0.001
+        assert abs(float(occ.mean()[0]) + 1.0) < 0.05
+
     def test_measure_dimension_check(self):
         spec = DriftSpec("mean_field_ou", lam=1.0)
         cfg = SimConfig(dt=0.01, T=20.0, seed=0)
