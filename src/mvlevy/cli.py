@@ -84,12 +84,25 @@ def _section(cfg, key):
     return sec
 
 
+def _is_kind(v, kind):
+    """True when v is a kind (a bool is not a number); a kind [k] is a
+    nonempty list of k."""
+    if isinstance(kind, list):
+        return isinstance(v, list) and bool(v) and all(_is_kind(x, kind[0]) for x in v)
+    return not isinstance(v, bool) and isinstance(v, kind)
+
+
+def _kind_name(kind):
+    return f"list of {_kind_name(kind[0])}" if isinstance(kind, list) else kind.__name__
+
+
 def _value(cfg, key, kind, default=None):
     """cfg[key], or default when given and key is absent, checked to be a
-    kind (a bool is not a number)."""
+    kind (see _is_kind)."""
     v = cfg[key] if default is None else cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, kind):
-        raise ValueError(f"config value {key!r} must be of type {kind.__name__}, got {v!r}")
+    if not _is_kind(v, kind):
+        raise ValueError(f"config value {key!r} must be of type {_kind_name(kind)}, "
+                         f"got {v!r}")
     return v
 
 
@@ -140,9 +153,9 @@ def cmd_sample(args, cfg, out):
 def cmd_simulate(args, cfg, out):
     levy, drift = _specs(cfg)
     sim = _sim_config(cfg)
-    frozen = cfg.get("frozen_mean", [0.0] * drift.dim)
+    frozen = _value(cfg, "frozen_mean", [numbers.Real], [0.0] * drift.dim)
     mu = measures.EmpiricalMeasure.dirac(frozen)
-    x0 = cfg.get("x0", frozen)
+    x0 = _value(cfg, "x0", [numbers.Real], frozen)
     occ = simulate.frozen_trajectory(drift, mu, levy, np.asarray(x0, float), sim)
     occ.to_csv(os.path.join(out, "occupation.csv"))
     report = {"mean": [float(v) for v in occ.mean()],
@@ -155,7 +168,8 @@ def cmd_simulate(args, cfg, out):
 def cmd_fixpoint(args, cfg, out):
     levy, drift = _specs(cfg)
     fp = _fp_config(cfg)
-    mu0 = measures.EmpiricalMeasure.dirac(cfg.get("mu0_mean", [0.0] * drift.dim))
+    mu0 = measures.EmpiricalMeasure.dirac(
+        _value(cfg, "mu0_mean", [numbers.Real], [0.0] * drift.dim))
     rep = fixed_point.iterate_lambda(drift, levy, mu0, fp)
     rep.final.to_csv(os.path.join(out, "fixed_point.csv"))
     _dump(out, "report.json", {
@@ -169,7 +183,8 @@ def cmd_fixpoint(args, cfg, out):
 def cmd_multiplicity(args, cfg, out):
     levy, drift = _specs(cfg)
     fp = _fp_config(cfg)
-    rep = fixed_point.multiplicity_search(drift, levy, _value(cfg, "seeds", list),
+    seeds = _value(cfg, "seeds", [[numbers.Real]])
+    rep = fixed_point.multiplicity_search(drift, levy, seeds,
                                           _value(cfg, "M_star", numbers.Real, 0.0), fp)
     _dump(out, "report.json", {
         "seeds": [list(map(float, s)) for s in rep.seeds],
@@ -195,7 +210,8 @@ def cmd_check(args, cfg, out):
     if "ex15" in cfg:
         p = _section(cfg, "ex15")
         res = conditions.ex15_check(*_reals(p, "lam", "kappa", "beta", "eps", "r0"),
-                                    p["y1"], p["y2"], levy)
+                                    _value(p, "y1", [numbers.Real]),
+                                    _value(p, "y2", [numbers.Real]), levy)
         report["ex15"] = {k: res[k] for k in ("eq1_ok", "wq2_ok")}
         ok = ok and all(report["ex15"].values())
     if "m_star" in cfg:
@@ -244,7 +260,9 @@ def cmd_constants(args, cfg, out):
     if "sigma" in p:
         raise ValueError("appendix takes its sigma profile as sigma_knots")
     if "sigma_knots" in p:
-        p["sigma"] = levy_mod.SigmaSpec(tuple(tuple(k) for k in p.pop("sigma_knots")))
+        knots = _value(p, "sigma_knots", [[numbers.Real]])
+        p["sigma"] = levy_mod.SigmaSpec(tuple(tuple(k) for k in knots))
+        del p["sigma_knots"]
     ap = conditions.AppendixParams(**_config_kwargs(conditions.AppendixParams, p))
     res = conditions.appendix_constants(ap, levy)
     _dump(out, "report.json", {

@@ -2,11 +2,19 @@
 plus the multi-well multiplicity search with its separation verdicts.
 
 Each iterate replaces mu by the occupation measure of a fresh frozen run
-(optionally damped), monitored in Wasserstein-1.  The Monte Carlo noise
-floor (W1 between two independent runs at the final measure) is surfaced in
-every report so distinctness claims stay honest.
+(optionally damped), monitored in Wasserstein-1.  Every report carries the
+Monte Carlo noise floor, so distinctness claims stay honest.  The floor is
+taken from the chains of the last frozen run (split-chain, in the spirit of
+split-R-hat): split the chains into two equal halves, take
+W1(half A, half B) / sqrt(2), and average over SPLIT_COUNT fixed splits.
+The chains of one run are exchangeable, so each half is a run of n/2
+chains.  W1 between two independent clouds scales like sqrt(1/n_a + 1/n_b)
+in their chain counts, so the sqrt(2) maps two halves of n/2 chains onto
+the scale of two independent runs of n chains.  The splits come from a
+fixed stream of their own and leave the run's streams untouched.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -16,6 +24,10 @@ from .drift import lyapunov_params
 from .errors import MvLevyError, NoiseFloorExceedsTol, _check_numeric
 from .measures import EmpiricalMeasure, concentration, moment, w1
 from .simulate import SimConfig, frozen_trajectory
+from . import rng as _rng
+
+SPLIT_COUNT = 16
+SPLIT_SEED = 246813579
 
 
 @dataclass(frozen=True)
@@ -33,6 +45,9 @@ class FixedPointConfig:
             raise ValueError("w1_tol must be positive")
         if not (0.0 <= self.damping < 1.0):
             raise ValueError("damping must lie in [0, 1)")
+        if self.sim.n_chains < 2:
+            raise ValueError("fixed-point runs need sim.n_chains >= 2: "
+                             "the noise floor splits the chains in two")
 
 
 @dataclass(frozen=True)
@@ -50,10 +65,13 @@ def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, stream_base=0,
     """Iterate the frozen-measure map from mu0 until the W1 step falls
     below w1_tol or max_iter is hit.
 
-    beta_star defaults to the drift family's Lyapunov exponent; the report
-    records the final measure's beta_star-th moment.  Raises
-    NoiseFloorExceedsTol when the tolerance undercuts the estimated Monte
-    Carlo noise floor (the configuration cannot certify convergence).
+    Iteration it runs on seed cfg.sim.seed + it.  beta_star defaults to the
+    drift family's Lyapunov exponent; the report records the final
+    measure's beta_star-th moment.  The noise floor is the split-chain floor
+    of the last frozen run (the occupation measure, not the damped mixture),
+    so it costs no run of its own.  Raises NoiseFloorExceedsTol when the
+    tolerance undercuts that floor (the configuration cannot certify
+    convergence).
     """
     if beta_star is None:
         beta_star = lyapunov_params(drift, alpha=levy.alpha).beta_star
@@ -74,14 +92,7 @@ def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, stream_base=0,
         if step <= cfg.w1_tol:
             converged = True
             break
-    # noise floor: two independent-seed occupation runs at the final measure
-    occ_a = frozen_trajectory(drift, mu, levy, mu,
-                              replace(cfg.sim, seed=cfg.sim.seed + 7001),
-                              stream_base=stream_base)
-    occ_b = frozen_trajectory(drift, mu, levy, mu,
-                              replace(cfg.sim, seed=cfg.sim.seed + 7002),
-                              stream_base=stream_base)
-    noise_floor = w1(occ_a, occ_b)
+    noise_floor = _split_floor(occ)
     if check_noise_floor and cfg.w1_tol < noise_floor:
         raise NoiseFloorExceedsTol(
             f"w1_tol {cfg.w1_tol:g} is below the noise floor {noise_floor:g}")
@@ -89,6 +100,22 @@ def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, stream_base=0,
                             history=history,
                             moment_beta_star=moment(mu, beta_star),
                             noise_floor=noise_floor)
+
+
+def _split_floor(occ):
+    """Mean over SPLIT_COUNT fixed chain splits of W1(half A, half B) /
+    sqrt(2); with an odd chain count each split leaves one chain out."""
+    n = occ.n_chains
+    paths = occ.points.reshape(-1, n, occ.dim)  # (kept step, chain, d)
+    half = n // 2
+    gen = _rng.stream(SPLIT_SEED)
+    total = 0.0
+    for _ in range(SPLIT_COUNT):
+        perm = gen.permutation(n)
+        a = paths[:, perm[:half]].reshape(-1, occ.dim)
+        b = paths[:, perm[half:2 * half]].reshape(-1, occ.dim)
+        total += w1(EmpiricalMeasure.from_samples(a), EmpiricalMeasure.from_samples(b))
+    return total / (SPLIT_COUNT * math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -106,7 +133,8 @@ def multiplicity_search(drift, levy, seeds, M_star, cfg, beta_star=None):
 
     A pair (i, j) is distinct when both final measures keep more than half
     their mass within |y_i - y_j|/2 of their own center and their W1 gap
-    exceeds max(2 * noise floor, w1_tol).
+    exceeds max(2 * noise floor, w1_tol), where the floor is the larger of
+    the two runs' split-chain floors (see iterate_lambda).
     """
     seeds = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seeds]
     k = len(seeds)

@@ -369,6 +369,8 @@ class SigmaSpec:
     knots: tuple  # ((r0, v0), (r1, v1), ...), r increasing
 
     def __post_init__(self):
+        if any(len(k) != 2 for k in self.knots):
+            raise SigmaViolatesH2("each knot must be a pair (r, sigma)")
         rs = [k[0] for k in self.knots]
         vs = [k[1] for k in self.knots]
         if len(self.knots) < 2:

@@ -79,11 +79,16 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(self.points + c, self.weights)
 
     def to_csv(self, path):
+        """Write a weight column and one column per coordinate, %.17g
+        (exact round trip), in csv.writer's default dialect.  Rows are
+        formatted a block at a time, so the text in memory stays small."""
+        data = np.column_stack([self.weights, self.points])
+        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
+        header = ",".join(["weight"] + [f"x_{i+1}" for i in range(self.dim)])
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["weight"] + [f"x_{i+1}" for i in range(self.dim)])
-            for w, x in zip(self.weights, self.points):
-                wr.writerow([f"{w:.17g}"] + [f"{xi:.17g}" for xi in x])
+            fh.write(header + "\r\n")
+            for i in range(0, len(data), 4096):
+                fh.write("".join(row % tuple(r) for r in data[i:i + 4096].tolist()))
 
     @staticmethod
     def from_csv(path):

@@ -118,6 +118,12 @@ class TestFixpoint:
         assert main(["fixpoint", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_one_chain_is_validation_error(self, tmp_path, capsys):
+        # the noise floor splits the chains of the last run in two
+        assert main(["fixpoint", *FP_RUN, "--set", "sim.n_chains=1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "n_chains >= 2" in capsys.readouterr().err
+
 
 class TestMultiplicity:
     def test_two_well_verdicts(self, tmp_path):
@@ -135,6 +141,12 @@ class TestMultiplicity:
         assert rep["evidence"]["0,1"]["w1"] > 1.5
         assert (out / "fixed_point_0.csv").exists()
         assert (out / "fixed_point_1.csv").exists()
+
+    def test_one_chain_is_validation_error(self, tmp_path, capsys):
+        assert main(["multiplicity", *FP_RUN, "--set", "sim.n_chains=1",
+                     "--set", "seeds=[[-1.0], [1.0]]",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "n_chains >= 2" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -243,6 +255,10 @@ FP_RUN = ["--set", 'levy={"alpha": 1.8}',
           "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.1}']
 EX14 = {"lam": 1.0, "kappa": 4.5, "beta": 1.5, "eps": 1e-4, "r0": 0.24975,
         "a1": -1.0, "a2": 1.0}
+EX15 = {"lam": 1.0, "kappa": 3.0, "beta": 1.5, "eps": 1e-4, "r0": 0.4,
+        "y1": [1.0], "y2": [-1.0]}
+APPENDIX = {"K1": 1.0, "K2": 0.5, "K3": 1.0, "kappa": 1.0, "l0": 1.0, "C_V": 2.0,
+            "lambda_V": 0.5}
 
 
 class TestRawConfigValues:
@@ -266,9 +282,24 @@ class TestRawConfigValues:
         ["check", "--set", 'levy={"alpha": 1.8}',
          "--set", 'ex15={"lam": 1, "kappa": 3, "beta": "a", "eps": 1e-4, '
                   '"r0": 0.4, "y1": [1], "y2": [-1]}'],
+        ["multiplicity", *FP_RUN, "--set", "seeds=[{}]"],
+        ["fixpoint", *FP_RUN, "--set", "mu0_mean={}"],
+        ["simulate", *FP_RUN, "--set", "frozen_mean=3"],
+        ["simulate", *FP_RUN, "--set", "x0=[[0.0]]"],
+        ["constants", "--set", "levy={}", "--set", f"appendix={json.dumps(APPENDIX)}",
+         "--set", "appendix.sigma_knots=3"],
+        ["constants", "--set", "levy={}", "--set", f"appendix={json.dumps(APPENDIX)}",
+         "--set", "appendix.sigma_knots=[[0.0], [1.0]]"],
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", f"ex15={json.dumps(dict(EX15, y1={}))}"],
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", f"ex15={json.dumps(dict(EX15, y2='-1'))}"],
     ], ids=["appendix-unknown-key", "appendix-sigma-key", "gamma-string",
             "tol-string", "seeds-scalar", "m-star-string", "n-string",
-            "dt-bool", "ex14-string", "ex15-string"])
+            "dt-bool", "ex14-string", "ex15-string", "seeds-object",
+            "mu0-mean-object", "frozen-mean-scalar", "x0-nested",
+            "sigma-knots-scalar", "sigma-knots-single", "ex15-y1-object",
+            "ex15-y2-string"])
     def test_bad_value_is_validation_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert "error: invalid input" in capsys.readouterr().err

@@ -5,6 +5,7 @@ exercising convergence, noise-floor accounting, and the separation verdicts.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from mvlevy import (
     w1,
 )
 from mvlevy import fixed_point
+from mvlevy.simulate import OccupationMeasure, frozen_trajectory
 
 BM = LevyMeasureSpec(alpha=2.0, scale=0.1)
+BM1 = LevyMeasureSpec(alpha=2.0, scale=1.0)
 SIM = SimConfig(dt=0.01, T=10.0, n_chains=200, seed=11)
 DW = DriftSpec("double_well", lam=1.0, kappa=0.0, a1=-1.0, a2=1.0)
 
@@ -40,6 +43,12 @@ class TestConfig:
             FixedPointConfig(max_iter=2, w1_tol=0.0, sim=SIM)
         with pytest.raises(ValueError):
             FixedPointConfig(max_iter=2, w1_tol=0.1, sim=SIM, damping=1.0)
+
+    def test_one_chain_rejected(self):
+        # the noise floor splits the chains of a run into two halves
+        with pytest.raises(ValueError, match="n_chains >= 2"):
+            FixedPointConfig(max_iter=2, w1_tol=0.1, sim=replace(SIM, n_chains=1))
+        FixedPointConfig(max_iter=2, w1_tol=0.1, sim=replace(SIM, n_chains=2))
 
 
 class TestIterateLambda:
@@ -97,6 +106,90 @@ class TestIterateLambda:
         b = iterate_lambda(ou, BM, EmpiricalMeasure.dirac(-1.0), damped,
                            check_noise_floor=False)
         assert b.history[0] < a.history[0]
+
+
+def _recording(monkeypatch):
+    """Route iterate_lambda's frozen runs through a recorder; returns the
+    list of occupation measures they produced."""
+    runs = []
+
+    def record(*args, **kwargs):
+        runs.append(frozen_trajectory(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(fixed_point, "frozen_trajectory", record)
+    return runs
+
+
+class TestSplitNoiseFloor:
+    OU = DriftSpec("mean_field_ou", lam=2.0)
+
+    def test_one_frozen_run_per_iteration(self, monkeypatch):
+        runs = _recording(monkeypatch)
+        cfg = FixedPointConfig(max_iter=10, w1_tol=0.03, sim=SIM)
+        rep = iterate_lambda(self.OU, BM, EmpiricalMeasure.dirac(-1.0), cfg)
+        assert rep.iterations >= 2
+        assert len(runs) == rep.iterations
+
+    def test_iterates_do_not_depend_on_the_floor(self):
+        # the iteration computed by hand, iteration it on seed + it, and the
+        # floor taken separately from its last run
+        cfg = FixedPointConfig(max_iter=3, w1_tol=1e-9, sim=SIM)
+        rep = iterate_lambda(self.OU, BM, EmpiricalMeasure.dirac(-1.0), cfg,
+                             stream_base=5, check_noise_floor=False)
+        mu, history = EmpiricalMeasure.dirac(-1.0), []
+        for it in range(1, 4):
+            occ = frozen_trajectory(self.OU, mu, BM, mu, replace(SIM, seed=SIM.seed + it),
+                                    stream_base=5)
+            history.append(w1(occ, mu))
+            mu = occ
+        assert np.array_equal(rep.final.points, mu.points)
+        assert rep.history == history
+        assert rep.noise_floor == fixed_point._split_floor(mu)
+
+    def test_identical_chains_give_zero_floor(self, monkeypatch):
+        one = frozen_trajectory(DW, EmpiricalMeasure.dirac(1.0), BM, 1.0,
+                                replace(SIM, n_chains=1))
+        n = 6
+        copies = np.repeat(one.points, n, axis=0)  # row = kept step * n + chain
+        occ = OccupationMeasure(copies, np.full(len(copies), 1.0 / len(copies)),
+                                T=one.T, dt=one.dt, n_chains=n, ess=len(copies))
+        monkeypatch.setattr(fixed_point, "frozen_trajectory", lambda *a, **k: occ)
+        cfg = FixedPointConfig(max_iter=3, w1_tol=0.01, sim=replace(SIM, n_chains=n))
+        rep = iterate_lambda(DW, BM, EmpiricalMeasure.dirac(1.0), cfg)
+        assert rep.noise_floor == 0.0
+        assert rep.converged and rep.history[-1] == 0.0
+
+    @pytest.mark.parametrize("n_chains", [3, 201])
+    def test_odd_chain_count(self, monkeypatch, n_chains):
+        runs = _recording(monkeypatch)
+        cfg = FixedPointConfig(max_iter=2, w1_tol=0.5,
+                               sim=replace(SIM, n_chains=n_chains))
+        rep = iterate_lambda(self.OU, BM, EmpiricalMeasure.dirac(-1.0), cfg)
+        assert runs[-1].n_chains == n_chains
+        assert 0.0 < rep.noise_floor < 0.5
+
+    def test_damped_run_splits_last_occupation_run(self, monkeypatch):
+        runs = _recording(monkeypatch)
+        cfg = FixedPointConfig(max_iter=3, w1_tol=1e-9, sim=SIM, damping=0.5)
+        rep = iterate_lambda(self.OU, BM, EmpiricalMeasure.dirac(-1.0), cfg,
+                             check_noise_floor=False)
+        assert len(runs) == 3
+        assert rep.final.size > runs[-1].size  # the final iterate is a mixture
+        assert rep.noise_floor == fixed_point._split_floor(runs[-1])
+
+    def test_calibrated_against_two_independent_runs(self):
+        # mean-field OU at alpha = 2: over a fixed seed set, the median split
+        # floor of one run matches the median W1 between two independent runs
+        mu = EmpiricalMeasure.dirac(0.0)
+        split, pair = [], []
+        for seed in range(200):
+            sim = SimConfig(dt=1e-3, T=10.0, n_chains=200, thin=100, seed=seed)
+            a = frozen_trajectory(self.OU, mu, BM1, mu, sim, stream_base=1)
+            b = frozen_trajectory(self.OU, mu, BM1, mu, sim, stream_base=2)
+            split.append(fixed_point._split_floor(a))
+            pair.append(w1(a, b))
+        assert abs(np.median(split) / np.median(pair) - 1.0) <= 0.25
 
 
 class TestMultiplicitySearch:

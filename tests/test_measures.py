@@ -4,6 +4,8 @@ The W1 oracle integrates |F_mu - F_nu| directly from the sorted union
 support, independently of the quantile-coupling implementation.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,28 @@ class TestEmpiricalMeasure:
         m = _random_measure(gen, 37, d=3)
         path = tmp_path / "m.csv"
         m.to_csv(path)
+        back = EmpiricalMeasure.from_csv(path)
+        assert np.array_equal(back.points, m.points)
+        assert np.array_equal(back.weights, m.weights)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, d):
+        # more rows than one write block, with signed zeros and wide exponents
+        n = 9000
+        gen = np.random.default_rng(4 + d)
+        pts = gen.normal(size=(n, d)) * 10.0 ** gen.integers(-30, 30, size=(n, d))
+        pts[:3, 0] = [-0.0, 0.0, 1.0]
+        w = gen.uniform(0.1, 1.0, size=n)
+        m = EmpiricalMeasure(pts, w / w.sum())
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["weight"] + [f"x_{i+1}" for i in range(d)])
+            for wi, x in zip(m.weights, m.points):
+                wr.writerow([f"{wi:.17g}"] + [f"{xi:.17g}" for xi in x])
+        path = tmp_path / "m.csv"
+        m.to_csv(path)
+        assert path.read_bytes() == ref.read_bytes()
         back = EmpiricalMeasure.from_csv(path)
         assert np.array_equal(back.points, m.points)
         assert np.array_equal(back.weights, m.weights)
