@@ -16,7 +16,7 @@ fixed stream of their own and leave the run's streams untouched.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,18 +60,19 @@ class FixedPointReport:
     noise_floor: float
 
 
-def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, stream_base=0,
+def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, key=(),
                    check_noise_floor=True):
     """Iterate the frozen-measure map from mu0 until the W1 step falls
     below w1_tol or max_iter is hit.
 
-    Iteration it runs on seed cfg.sim.seed + it.  beta_star defaults to the
-    drift family's Lyapunov exponent; the report records the final
-    measure's beta_star-th moment.  The noise floor is the split-chain floor
-    of the last frozen run (the occupation measure, not the damped mixture),
-    so it costs no run of its own.  Raises NoiseFloorExceedsTol when the
-    tolerance undercuts that floor (the configuration cannot certify
-    convergence).
+    Every iteration runs on seed cfg.sim.seed: iteration it is the frozen
+    run with key (*key, it), so distinct seeds, replica keys and iterations
+    draw from distinct streams.  beta_star defaults to the drift family's
+    Lyapunov exponent; the report records the final measure's beta_star-th
+    moment.  The noise floor is the split-chain floor of the last frozen run
+    (the occupation measure, not the damped mixture), so it costs no run of
+    its own.  Raises NoiseFloorExceedsTol when the tolerance undercuts that
+    floor (the configuration cannot certify convergence).
     """
     if beta_star is None:
         beta_star = lyapunov_params(drift, alpha=levy.alpha).beta_star
@@ -80,8 +81,7 @@ def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, stream_base=0,
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        sim = replace(cfg.sim, seed=cfg.sim.seed + it)
-        occ = frozen_trajectory(drift, mu, levy, mu, sim, stream_base=stream_base)
+        occ = frozen_trajectory(drift, mu, levy, mu, cfg.sim, key=(*key, it))
         if cfg.damping > 0.0:
             nxt = EmpiricalMeasure.mixture([occ, mu], [1.0 - cfg.damping, cfg.damping])
         else:
@@ -129,7 +129,7 @@ class MultiplicityReport:
 
 def multiplicity_search(drift, levy, seeds, M_star, cfg, beta_star=None):
     """Run the fixed-point iteration from a Dirac at each seed center and
-    test pairwise distinctness.
+    test pairwise distinctness.  The run from center i has key (i,).
 
     A pair (i, j) is distinct when both final measures keep more than half
     their mass within |y_i - y_j|/2 of their own center and their W1 gap
@@ -151,8 +151,7 @@ def multiplicity_search(drift, levy, seeds, M_star, cfg, beta_star=None):
     for i, y in enumerate(seeds):
         try:
             reports[i] = iterate_lambda(drift, levy, EmpiricalMeasure.dirac(y), cfg,
-                                        beta_star=beta_star,
-                                        stream_base=10_000_000 * (i + 1))
+                                        beta_star=beta_star, key=(i,))
         except MvLevyError as exc:  # partial reports allowed
             errors[i] = exc
     distinct = np.zeros((k, k), dtype=bool)

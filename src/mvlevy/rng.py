@@ -3,9 +3,21 @@
 Every stochastic routine takes an explicit stream built from (seed, *key),
 so the n-th draw of a stream is determined by (seed, key, n) alone and
 results do not depend on scheduling or worker count.
+
+A simulation stream is keyed by its structure: stream(seed, *key, purpose),
+where key locates the run (for a fixed-point iteration: replica, then
+iteration) and purpose, always the last word, names what the stream draws.
+The purpose words are nonzero, so no key can alias another through a
+trailing zero word.
 """
 
 import numpy as np
+
+INIT = 1                 # initial states of a frozen run
+INCREMENTS = 2           # noise increments of a frozen run
+RETRY = 3                # increments of the step-halving retry
+PARTICLE_INIT = 4        # initial states of the particle system
+PARTICLE_INCREMENTS = 5  # noise increments of the particle system
 
 
 def stream(seed, *key):

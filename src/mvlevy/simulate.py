@@ -2,8 +2,8 @@
 particle system, with time-averaged occupation measures as output.
 
 Chains advance as one vectorized block drawing from one stream keyed by
-(seed, stream key), so the result is independent of how the work is
-scheduled.  The frozen-measure runs and the particle system share
+(seed, *key, purpose) (see rng), so the result is independent of how the
+work is scheduled.  The frozen-measure runs and the particle system share
 one integrator: the particle system is the mode whose drift reads the
 measure stats of the current cloud at every step.  With a frozen measure,
 pure stable noise and an affine drift the Euler chain is an AR(1) process,
@@ -24,6 +24,9 @@ from .measures import EmpiricalMeasure
 from . import rng as _rng
 
 BLOWUP_GUARD = 1e8
+# a jump past the Euler stability radius (about sqrt(2/dt) for a cubic
+# drift) overflows the run; each halving widens that radius by sqrt(2)
+MAX_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -182,35 +185,39 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     return kept
 
 
-def frozen_trajectory(spec, frozen, levy, x0, cfg, stream_base=0):
+def frozen_trajectory(spec, frozen, levy, x0, cfg, key=()):
     """Occupation measure of the SDE with the measure argument frozen.
 
     Euler scheme with exact stable increments (for an affine drift under
     stable noise, jumps between kept states that are exact in law); the
-    frozen measure is never updated during the run.  On a blowup the step
-    size is halved once and the run retried, on a stream of its own,
-    before the error propagates.
+    frozen measure is never updated during the run.  The run draws its
+    initial states from stream (cfg.seed, *key, INIT) and its increments
+    from (cfg.seed, *key, INCREMENTS).  On a blowup the step size is halved
+    and the run retried, up to MAX_HALVINGS times, before the Blowup
+    propagates.  Every attempt draws fresh initial states from the INIT
+    stream; the retry at dt / 2^h draws its increments from
+    (cfg.seed, *key, h, RETRY).
     """
     if frozen.dim != spec.dim:
         raise DimensionMismatch("frozen measure dimension mismatch")
     stats = measure_stats(spec, frozen)
-    gen0 = _rng.stream(cfg.seed, stream_base + 1_000_000)
-    X = _initial_states(x0, cfg.n_chains, spec.dim, gen0)
-    try:
-        kept = _run_euler(spec, stats, levy, X, cfg, _kept_steps(cfg), stream_base)
-        dt_used = cfg.dt
-    except Blowup:
-        # one retry at half the step, then give up; the extra key word gives
-        # the retry fresh increments, so the jump that blew up the first
-        # attempt does not come back
+    gen0 = _rng.stream(cfg.seed, *key, _rng.INIT)
+    for h in range(MAX_HALVINGS + 1):
+        run = replace(cfg, dt=cfg.dt / 2 ** h, thin=cfg.thin * 2 ** h)
+        # each retry draws fresh increments, so the jump that blew up the
+        # attempt before does not come back
+        purpose = (h, _rng.RETRY) if h else (_rng.INCREMENTS,)
         X = _initial_states(x0, cfg.n_chains, spec.dim, gen0)
-        cfg2 = replace(cfg, dt=cfg.dt / 2.0, thin=cfg.thin * 2)
-        kept = _run_euler(spec, stats, levy, X, cfg2, _kept_steps(cfg2), stream_base, 1)
-        dt_used = cfg2.dt
+        try:
+            kept = _run_euler(spec, stats, levy, X, run, _kept_steps(run), *key, *purpose)
+            break
+        except Blowup:
+            if h == MAX_HALVINGS:
+                raise
     pts = np.concatenate(kept, axis=0)
     n = pts.shape[0]
     return OccupationMeasure(pts, np.full(n, 1.0 / n),
-                             T=cfg.T, dt=dt_used, n_chains=cfg.n_chains, ess=n)
+                             T=cfg.T, dt=run.dt, n_chains=cfg.n_chains, ess=n)
 
 
 def particle_system(spec, levy, init, cfg, snapshot_times=None):
@@ -219,11 +226,11 @@ def particle_system(spec, levy, init, cfg, snapshot_times=None):
     terminal state only)."""
     if cfg.n_chains < 100:
         raise ValueError("particle system needs n_chains >= 100")
-    gen0 = _rng.stream(cfg.seed, 2_000_000)
+    gen0 = _rng.stream(cfg.seed, _rng.PARTICLE_INIT)
     X = _initial_states(init, cfg.n_chains, spec.dim, gen0)
     n_steps = int(round(cfg.T / cfg.dt))
     if snapshot_times is None:
         snapshot_times = [cfg.T]
     snap_steps = sorted({min(n_steps, max(1, int(round(t / cfg.dt)))) for t in snapshot_times})
-    kept = _run_euler(spec, None, levy, X, cfg, snap_steps, 3_000_000)
+    kept = _run_euler(spec, None, levy, X, cfg, snap_steps, _rng.PARTICLE_INCREMENTS)
     return [EmpiricalMeasure.from_samples(x) for x in kept]

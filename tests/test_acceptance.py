@@ -152,7 +152,7 @@ def test_criterion_03_ou_dichotomy():
     def run(drift, m0, tol, k):
         cfg = FixedPointConfig(max_iter=14, w1_tol=tol, sim=sim)
         rep = iterate_lambda(drift, levy, EmpiricalMeasure.dirac(m0), cfg,
-                             stream_base=100000 * (k + 1))
+                             key=(k,))
         pts = rep.final.points[:, 0]
         chain_means = pts.reshape(-1, sim.n_chains).mean(axis=0)
         se = float(chain_means.std(ddof=1) / math.sqrt(sim.n_chains))
@@ -242,7 +242,7 @@ def test_criterion_06_uniqueness_evidence():
     reports = []
     for k, m0 in enumerate(inits):
         rep = iterate_lambda(drift, levy, EmpiricalMeasure.dirac(m0), cfg,
-                             stream_base=1_000_000 * (k + 1))
+                             key=(k,))
         checks.append((f"init {m0} converged", rep.converged))
         reports.append(rep)
     for i in range(len(inits)):

@@ -6,6 +6,7 @@ exercising convergence, noise-floor accounting, and the separation verdicts.
 
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from mvlevy import (
     multiplicity_search,
     w1,
 )
-from mvlevy import fixed_point
+from mvlevy import fixed_point, simulate
+from mvlevy import rng as mvrng
 from mvlevy.simulate import OccupationMeasure, frozen_trajectory
 
 BM = LevyMeasureSpec(alpha=2.0, scale=0.1)
@@ -67,7 +69,7 @@ class TestIterateLambda:
         cfg = FixedPointConfig(max_iter=4, w1_tol=0.05, sim=SIM)
         a = iterate_lambda(DW, BM, EmpiricalMeasure.dirac(-1.0), cfg)
         b = iterate_lambda(DW, BM, EmpiricalMeasure.dirac(-0.8), cfg,
-                           stream_base=55)
+                           key=(55,))
         floor = max(a.noise_floor, b.noise_floor)
         assert w1(a.final, b.final) <= 2.0 * floor
 
@@ -132,15 +134,14 @@ class TestSplitNoiseFloor:
         assert len(runs) == rep.iterations
 
     def test_iterates_do_not_depend_on_the_floor(self):
-        # the iteration computed by hand, iteration it on seed + it, and the
-        # floor taken separately from its last run
+        # the iteration computed by hand, iteration it with key (5, it) at
+        # the same seed, and the floor taken separately from its last run
         cfg = FixedPointConfig(max_iter=3, w1_tol=1e-9, sim=SIM)
         rep = iterate_lambda(self.OU, BM, EmpiricalMeasure.dirac(-1.0), cfg,
-                             stream_base=5, check_noise_floor=False)
+                             key=(5,), check_noise_floor=False)
         mu, history = EmpiricalMeasure.dirac(-1.0), []
         for it in range(1, 4):
-            occ = frozen_trajectory(self.OU, mu, BM, mu, replace(SIM, seed=SIM.seed + it),
-                                    stream_base=5)
+            occ = frozen_trajectory(self.OU, mu, BM, mu, SIM, key=(5, it))
             history.append(w1(occ, mu))
             mu = occ
         assert np.array_equal(rep.final.points, mu.points)
@@ -185,8 +186,8 @@ class TestSplitNoiseFloor:
         split, pair = [], []
         for seed in range(200):
             sim = SimConfig(dt=1e-3, T=10.0, n_chains=200, thin=100, seed=seed)
-            a = frozen_trajectory(self.OU, mu, BM1, mu, sim, stream_base=1)
-            b = frozen_trajectory(self.OU, mu, BM1, mu, sim, stream_base=2)
+            a = frozen_trajectory(self.OU, mu, BM1, mu, sim, key=(1,))
+            b = frozen_trajectory(self.OU, mu, BM1, mu, sim, key=(2,))
             split.append(fixed_point._split_floor(a))
             pair.append(w1(a, b))
         assert abs(np.median(split) / np.median(pair) - 1.0) <= 0.25
@@ -240,6 +241,46 @@ class TestMultiplicitySearch:
         monkeypatch.setattr(fixed_point, "iterate_lambda", fail_with(TypeError("bug")))
         with pytest.raises(TypeError):
             multiplicity_search(DW, BM, [[-1.0], [1.0]], 0.05, self.CFG)
+
+
+class TestStreamKeys:
+    def _search(self, monkeypatch, seed):
+        """Run a two-iteration multiplicity search from three centers and
+        return (words, first draws) of every stream its simulations open,
+        in the order they are opened.  The noise-floor splits share one
+        fixed stream by design and are not recorded."""
+        opened = []
+
+        def stream(*words):
+            opened.append((words, mvrng.stream(*words).random(4)))
+            return mvrng.stream(*words)
+
+        monkeypatch.setattr(simulate, "_rng", SimpleNamespace(**{
+            **vars(mvrng), "stream": stream}))
+        cfg = FixedPointConfig(max_iter=2, w1_tol=1e-9,
+                               sim=SimConfig(dt=0.01, T=10.0, n_chains=20, seed=seed))
+        rep = multiplicity_search(DW, BM, [[-1.5], [0.3], [1.5]], 0.05, cfg)
+        # the tolerance undercuts every floor, so each center runs both
+        # iterations and only the final floor check fails
+        assert all(isinstance(e, NoiseFloorExceedsTol) for e in rep.errors.values())
+        assert len(rep.errors) == 3
+        return opened
+
+    def test_no_two_runs_share_a_stream(self, monkeypatch):
+        s = 101
+        first, second = self._search(monkeypatch, s), self._search(monkeypatch, s + 1)
+        # per seed: 3 centers x 2 iterations x (init, increments), no retries
+        assert len(first) == len(second) == 12
+        opened = first + second
+        words = [w for w, _ in opened]
+        assert len(set(words)) == len(words)
+        draws = {tuple(d) for _, d in opened}
+        assert len(draws) == len(opened)
+        # iteration 2 from center 0 at seed s against iteration 1 from
+        # center 0 at seed s + 1: no stream, init or increments, in common
+        it2 = {tuple(d) for _, d in first[2:4]}
+        it1 = {tuple(d) for _, d in second[0:2]}
+        assert not it2 & it1
 
 
 class TestInvarianceCheck:

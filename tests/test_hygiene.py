@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no function
-binds a local name it never reads."""
+"""Source hygiene: no module imports a name it never uses, no function
+binds a local name it never reads, and no random stream is keyed by an
+integer offset."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,39 @@ def test_dead_local_check_sees_unpacking_and_closures():
         "        return a\n"
         "    return g\n")
     assert _dead_locals(tree) == [(2, "f", "err"), (5, "f", "i")]
+
+
+def _offset_keys(tree):
+    """Stream keys built by arithmetic and seeds rewritten through
+    dataclasses.replace: random streams must be told apart by key words
+    (see mvlevy.rng), not by offsets that can alias."""
+    bad = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "stream" and any(isinstance(n, (ast.BinOp, ast.UnaryOp))
+                                    for arg in call.args for n in ast.walk(arg)):
+            bad.append((call.lineno, "stream"))
+        if name == "replace" and any(kw.arg == "seed" for kw in call.keywords):
+            bad.append((call.lineno, "replace"))
+    return sorted(bad)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_stream_offsets(path):
+    bad = _offset_keys(ast.parse(path.read_text()))
+    assert not bad, f"{path.name}: stream offsets (line, call): {bad}"
+
+
+def test_stream_offset_check_sees_keys_and_seeds():
+    tree = ast.parse(
+        "def f(cfg, key, i):\n"
+        "    a = _rng.stream(cfg.seed, *key, INIT)\n"
+        "    b = stream(cfg.seed, base + 1_000_000)\n"
+        "    c = _rng.stream(cfg.seed, *(k * 2 for k in key))\n"
+        "    d = replace(cfg, dt=cfg.dt / 2.0)\n"
+        "    e = replace(cfg.sim, seed=cfg.sim.seed + i)\n"
+        "    return a, b, c, d, e\n")
+    assert _offset_keys(tree) == [(3, "stream"), (4, "stream"), (6, "replace")]

@@ -193,6 +193,22 @@ def test_sampler_gaussian_branch_variance():
     assert float(draws.var()) == pytest.approx(0.5 ** 2 * 0.01, rel=0.02)
 
 
+def test_alpha_two_convention():
+    # sample_increment at alpha = 2 is scale times standard Brownian motion
+    # (variance scale^2 dt, CF exp(-scale^2 dt |xi|^2 / 2)); the unit stable
+    # law at alpha = 2 has CF exp(-|xi|^2), variance 2 per coordinate
+    gen = mvrng.stream(59)
+    scale, dt, n = 0.5, 0.04, 200000
+    inc = sample_increment(LevyMeasureSpec(alpha=2.0, scale=scale, dim=2), dt, gen, size=n)
+    unit = unit_isotropic_stable(2.0, 2, gen, n)
+    assert inc.var(axis=0) == pytest.approx([scale ** 2 * dt] * 2, rel=0.02)
+    assert unit.var(axis=0) == pytest.approx([2.0, 2.0], rel=0.02)
+    xi = np.array([0.6, 0.8])  # |xi| = 1
+    assert np.cos(unit @ xi).mean() == pytest.approx(math.exp(-1.0), abs=0.01)
+    assert np.cos(inc @ xi / (scale * math.sqrt(dt))).mean() == pytest.approx(
+        math.exp(-0.5), abs=0.01)
+
+
 def test_sampler_isotropy_d2():
     gen = mvrng.stream(58)
     draws = unit_isotropic_stable(1.5, 2, gen, 60000)

@@ -17,6 +17,8 @@ from mvlevy import (
     particle_system,
     sample_increment,
 )
+from mvlevy import rng as mvrng
+from mvlevy.drift import measure_stats
 from mvlevy.simulate import _affine_jump, _kept_steps, _run_euler
 
 
@@ -108,16 +110,32 @@ class TestFrozenTrajectory:
         assert occ.dt == 0.005
         assert np.all(np.abs(occ.points) < 3.0)
 
+    @pytest.mark.parametrize("x0, dt", [(25.0, 0.0025), (35.0, 0.00125)])
+    def test_blowup_retries_halve_again(self, x0, dt):
+        # Euler overshoots from x past sqrt(2/dt + 1): 14.2, 20.0, 28.3 and
+        # 40.0 for dt = 0.01 halved up to three times
+        spec = DriftSpec("double_well", lam=1.0, kappa=0.0, a1=-1.0, a2=1.0)
+        cfg = SimConfig(dt=0.01, T=20.0, n_chains=2, seed=0)
+        occ = frozen_trajectory(spec, EmpiricalMeasure.dirac(0.0),
+                                _brownian(scale=0.01), x0, cfg)
+        assert occ.dt == dt
+        assert np.all(np.abs(occ.points) < 3.0)
+
     def test_retry_draws_fresh_increments(self):
-        # the double-well multiplicity shape: on this stream an increment of
-        # size 91 overflows the dt = 0.002 run at step 4864; a retry that
-        # replayed the stream would meet the same jump (about 62 at dt/2,
-        # past the new stability radius of 45) and overflow again
+        # the double-well multiplicity shape: on the increment stream of seed
+        # 267 an increment of size 71 overflows the dt = 0.002 run at step
+        # 2121; a retry that replayed the stream would meet the same jump
+        # (about 48 at dt/2, past the new stability radius of 45) and
+        # overflow again
         spec = DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0)
-        cfg = SimConfig(dt=0.002, T=20.0, n_chains=300, thin=100, seed=202)
-        occ = frozen_trajectory(spec, EmpiricalMeasure.dirac(-1.0),
-                                LevyMeasureSpec(alpha=1.8, scale=0.025), -1.0, cfg,
-                                stream_base=10_000_000)
+        levy = LevyMeasureSpec(alpha=1.8, scale=0.025)
+        frozen = EmpiricalMeasure.dirac(-1.0)
+        cfg = SimConfig(dt=0.002, T=20.0, n_chains=300, thin=100, seed=267)
+        with pytest.raises(Blowup):  # the premise: the first attempt fails
+            _run_euler(spec, measure_stats(spec, frozen), levy,
+                       np.full((cfg.n_chains, 1), -1.0), cfg, _kept_steps(cfg),
+                       mvrng.INCREMENTS)
+        occ = frozen_trajectory(spec, frozen, levy, -1.0, cfg)
         assert occ.dt == 0.001
         assert abs(float(occ.mean()[0]) + 1.0) < 0.05
 
