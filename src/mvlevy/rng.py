@@ -25,10 +25,14 @@ def stream(seed, *key):
 
     SeedSequence hashing gives independent, platform-stable streams for
     distinct keys; PCG64 keeps generation fast on the hot simulation path.
-    A key that differs from another only by trailing zero words hashes to
-    the same stream, so an extra word that tells streams apart must be
-    nonzero.
+    The seed, taken modulo 2^64, enters as two 32-bit words (low, high):
+    SeedSequence splits a larger integer into 32-bit words itself, so a
+    one-word seed of 2^32 + s would be the stream of seed s with key word 1.
+    Key words are small structure indices below 2^32.  A key that differs
+    from another only by trailing zero words can hash to the same stream,
+    so an extra word that tells streams apart must be nonzero.
     """
+    seed = int(seed) & (2**64 - 1)
     words = [int(k) for k in key] or [0]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        [int(seed) & (2**64 - 1), *words])))
+        [seed & (2**32 - 1), seed >> 32, *words])))

@@ -177,13 +177,18 @@ def test_stream_key_words():
         seq = np.random.SeedSequence(list(words))
         return np.random.Generator(np.random.PCG64(seq)).random(4)
 
-    # one- and two-word keys keep the (seed, stream id) streams they had
+    # the seed is two 32-bit words (low, high); a key-less stream keeps the
+    # stream it had when the seed was one word
     assert np.array_equal(mvrng.stream(5).random(4), draws(5, 0))
-    assert np.array_equal(mvrng.stream(5, 7).random(4), draws(5, 7))
-    assert np.array_equal(mvrng.stream(5, 7, 1).random(4), draws(5, 7, 1))
+    assert np.array_equal(mvrng.stream(5, 7).random(4), draws(5, 0, 7))
+    assert np.array_equal(mvrng.stream(5, 7, 1).random(4), draws(5, 0, 7, 1))
+    assert np.array_equal(mvrng.stream(2**32 + 5, 7).random(4), draws(5, 1, 7))
+    # so a seed of 2^32 or more does not spill into the key words
+    assert not np.array_equal(mvrng.stream(2**32 + 5).random(4),
+                              mvrng.stream(5, 1).random(4))
     # a nonzero extra word gives a new stream; a trailing zero word would not
-    assert not np.array_equal(mvrng.stream(5, 7, 1).random(4), draws(5, 7))
-    assert np.array_equal(mvrng.stream(5, 7, 0).random(4), draws(5, 7))
+    assert not np.array_equal(mvrng.stream(5, 7, 1).random(4), draws(5, 0, 7))
+    assert np.array_equal(mvrng.stream(5, 7, 0).random(4), draws(5, 0, 7))
 
 
 def test_sampler_gaussian_branch_variance():

@@ -123,14 +123,14 @@ class TestFrozenTrajectory:
 
     def test_retry_draws_fresh_increments(self):
         # the double-well multiplicity shape: on the increment stream of seed
-        # 267 an increment of size 71 overflows the dt = 0.002 run at step
-        # 2121; a retry that replayed the stream would meet the same jump
-        # (about 48 at dt/2, past the new stability radius of 45) and
+        # 394 an increment of size 118 overflows the dt = 0.002 run at step
+        # 6182; a retry that replayed the stream would meet the same jump
+        # (about 80 at dt/2, past the new stability radius of 45) and
         # overflow again
         spec = DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0)
         levy = LevyMeasureSpec(alpha=1.8, scale=0.025)
         frozen = EmpiricalMeasure.dirac(-1.0)
-        cfg = SimConfig(dt=0.002, T=20.0, n_chains=300, thin=100, seed=267)
+        cfg = SimConfig(dt=0.002, T=20.0, n_chains=300, thin=100, seed=394)
         with pytest.raises(Blowup):  # the premise: the first attempt fails
             _run_euler(spec, measure_stats(spec, frozen), levy,
                        np.full((cfg.n_chains, 1), -1.0), cfg, _kept_steps(cfg),
