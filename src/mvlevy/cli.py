@@ -8,12 +8,11 @@ failure, 4 failed condition check under --strict.
 """
 
 import argparse
-import csv
 import json
 import math
-import numbers
 import os
 import sys
+from dataclasses import astuple, make_dataclass
 
 import numpy as np
 
@@ -21,22 +20,23 @@ from . import conditions, fixed_point, measures, selfconsistent, simulate
 from . import levy as levy_mod
 from . import drift as drift_mod
 from . import rng as _rng
-from .errors import (Blowup, MvLevyError, NoiseFloorExceedsTol,
-                     NoTransition, QuadratureFailure, _config_kwargs)
+from .errors import (Blowup, MvLevyError, NoiseFloorExceedsTol, NoTransition,
+                     QuadratureFailure, _check_types, _config_kwargs, _is_kind,
+                     _kind_name)
+from .measures import _write_csv
 
-NUMERICAL_ERRORS = (Blowup, QuadratureFailure, NoiseFloorExceedsTol, NoTransition)
+NUMERICAL_ERRORS = (Blowup, QuadratureFailure, NoiseFloorExceedsTol, NoTransition,
+                    OverflowError)
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+# the ex14 and ex15 sections: the arguments of conditions.ex14_check and
+# ex15_check other than levy
+_WELLS = [(k, float) for k in ("lam", "kappa", "beta", "eps", "r0")]
+_Ex14 = make_dataclass("_Ex14", _WELLS + [("a1", float), ("a2", float)], frozen=True,
+                       namespace={"__post_init__": _check_types})
+_Ex15 = make_dataclass("_Ex15", _WELLS + [("y1", tuple[float, ...]),
+                                          ("y2", tuple[float, ...])], frozen=True,
+                       namespace={"__post_init__": _check_types})
 
 
 def _load_config(path, overrides):
@@ -76,64 +76,36 @@ def _dump(out, name, obj):
     return path
 
 
-def _section(cfg, key):
-    """cfg[key], checked to be an object before it is read by key."""
-    sec = cfg[key]
-    if not isinstance(sec, dict):
-        raise ValueError(f"config section {key!r} must be an object, got {sec!r}")
-    return sec
-
-
-def _is_kind(v, kind):
-    """True when v is a kind (a bool is not a number); a kind [k] is a
-    nonempty list of k."""
-    if isinstance(kind, list):
-        return isinstance(v, list) and bool(v) and all(_is_kind(x, kind[0]) for x in v)
-    return not isinstance(v, bool) and isinstance(v, kind)
-
-
-def _kind_name(kind):
-    return f"list of {_kind_name(kind[0])}" if isinstance(kind, list) else kind.__name__
+def _section(cfg, key, cls, **given):
+    """The config section cfg[key] as the dataclass cls; given holds the
+    fields that hold a dataclass (see errors._config_kwargs)."""
+    return cls(**_config_kwargs(cls, cfg[key], key), **given)
 
 
 def _value(cfg, key, kind, default=None):
-    """cfg[key], or default when given and key is absent, checked to be a
-    kind (see _is_kind)."""
+    """cfg[key], or default when given and key is absent, checked to be of
+    kind (see errors._is_kind)."""
     v = cfg[key] if default is None else cfg.get(key, default)
     if not _is_kind(v, kind):
-        raise ValueError(f"config value {key!r} must be of type {_kind_name(kind)}, "
-                         f"got {v!r}")
+        raise ValueError(f"config value {key!r} must be {_kind_name(kind)}, got {v!r}")
     return v
 
 
-def _reals(sec, *keys):
-    """The values of keys in sec, each checked to be a real number."""
-    return [_value(sec, k, numbers.Real) for k in keys]
-
-
 def _specs(cfg):
-    levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
-    drift = drift_mod.DriftSpec.from_json(cfg["drift"])
-    return levy, drift
-
-
-def _sim_config(cfg):
-    return simulate.SimConfig.from_json(cfg["sim"])
+    return (_section(cfg, "levy", levy_mod.LevyMeasureSpec),
+            _section(cfg, "drift", drift_mod.DriftSpec))
 
 
 def _fp_config(cfg):
-    fp = _section(cfg, "fixed_point")
-    return fixed_point.FixedPointConfig(max_iter=fp["max_iter"], w1_tol=fp["w1_tol"],
-                                        sim=_sim_config(cfg),
-                                        damping=fp.get("damping", 0.0))
+    return _section(cfg, "fixed_point", fixed_point.FixedPointConfig,
+                    sim=_section(cfg, "sim", simulate.SimConfig))
 
 
 def cmd_sample(args, cfg, out):
-    levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
-    n = _value(cfg, "n", numbers.Integral, 10000)
-    dt = _value(cfg, "dt", numbers.Real, 1.0)
-    seed = cfg["seed"]
-    gen = _rng.stream(seed)
+    levy = _section(cfg, "levy", levy_mod.LevyMeasureSpec)
+    n = _value(cfg, "n", int, 10000)
+    dt = _value(cfg, "dt", float, 1.0)
+    gen = _rng.stream(_value(cfg, "seed", int))
     draws = levy_mod.sample_increment(levy, dt, gen, size=n)
     _write_csv(os.path.join(out, "samples.csv"),
                [f"x_{i+1}" for i in range(levy.dim)], draws)
@@ -152,10 +124,10 @@ def cmd_sample(args, cfg, out):
 
 def cmd_simulate(args, cfg, out):
     levy, drift = _specs(cfg)
-    sim = _sim_config(cfg)
-    frozen = _value(cfg, "frozen_mean", [numbers.Real], [0.0] * drift.dim)
+    sim = _section(cfg, "sim", simulate.SimConfig)
+    frozen = _value(cfg, "frozen_mean", [float], [0.0] * drift.dim)
     mu = measures.EmpiricalMeasure.dirac(frozen)
-    x0 = _value(cfg, "x0", [numbers.Real], frozen)
+    x0 = _value(cfg, "x0", [float], frozen)
     occ = simulate.frozen_trajectory(drift, mu, levy, np.asarray(x0, float), sim)
     occ.to_csv(os.path.join(out, "occupation.csv"))
     report = {"mean": [float(v) for v in occ.mean()],
@@ -169,7 +141,7 @@ def cmd_fixpoint(args, cfg, out):
     levy, drift = _specs(cfg)
     fp = _fp_config(cfg)
     mu0 = measures.EmpiricalMeasure.dirac(
-        _value(cfg, "mu0_mean", [numbers.Real], [0.0] * drift.dim))
+        _value(cfg, "mu0_mean", [float], [0.0] * drift.dim))
     rep = fixed_point.iterate_lambda(drift, levy, mu0, fp)
     rep.final.to_csv(os.path.join(out, "fixed_point.csv"))
     _dump(out, "report.json", {
@@ -183,9 +155,9 @@ def cmd_fixpoint(args, cfg, out):
 def cmd_multiplicity(args, cfg, out):
     levy, drift = _specs(cfg)
     fp = _fp_config(cfg)
-    seeds = _value(cfg, "seeds", [[numbers.Real]])
+    seeds = _value(cfg, "seeds", [[float]])
     rep = fixed_point.multiplicity_search(drift, levy, seeds,
-                                          _value(cfg, "M_star", numbers.Real, 0.0), fp)
+                                          _value(cfg, "M_star", float, 0.0), fp)
     _dump(out, "report.json", {
         "seeds": [list(map(float, s)) for s in rep.seeds],
         "distinct_pairs": rep.distinct_pairs.tolist(),
@@ -198,26 +170,19 @@ def cmd_multiplicity(args, cfg, out):
 
 
 def cmd_check(args, cfg, out):
-    levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
+    levy = _section(cfg, "levy", levy_mod.LevyMeasureSpec)
     report = {}
     ok = True
     if "ex14" in cfg:
-        p = _section(cfg, "ex14")
-        res = conditions.ex14_check(*_reals(p, "lam", "kappa", "beta", "eps", "r0",
-                                            "a1", "a2"), levy)
+        res = conditions.ex14_check(*astuple(_section(cfg, "ex14", _Ex14)), levy)
         report["ex14"] = {k: res[k] for k in ("we_ok", "we2_ok", "convex_ok")}
         ok = ok and all(report["ex14"].values())
     if "ex15" in cfg:
-        p = _section(cfg, "ex15")
-        res = conditions.ex15_check(*_reals(p, "lam", "kappa", "beta", "eps", "r0"),
-                                    _value(p, "y1", [numbers.Real]),
-                                    _value(p, "y2", [numbers.Real]), levy)
+        res = conditions.ex15_check(*astuple(_section(cfg, "ex15", _Ex15)), levy)
         report["ex15"] = {k: res[k] for k in ("eq1_ok", "wq2_ok")}
         ok = ok and all(report["ex15"].values())
     if "m_star" in cfg:
-        p = cfg["m_star"]
-        params = drift_mod.A1Params(**_config_kwargs(drift_mod.A1Params, p))
-        res = conditions.m_star(params, levy)
+        res = conditions.m_star(_section(cfg, "m_star", drift_mod.A1Params), levy)
         report["m_star"] = {k: res[k] for k in ("M_star", "chosen_l", "case")}
     report["ok"] = ok
     _dump(out, "report.json", report)
@@ -227,7 +192,7 @@ def cmd_check(args, cfg, out):
 
 
 def cmd_selfconsistent(args, cfg, out):
-    gamma = args.gamma if args.gamma is not None else _value(cfg, "gamma", numbers.Real)
+    gamma = args.gamma if args.gamma is not None else _value(cfg, "gamma", float)
     report = {"gamma": gamma, "formula_value":
               (12.0 - gamma ** 2) / (2.0 * gamma) if gamma < selfconsistent.GAMMA_C else 0.0}
     if args.beta_scan:
@@ -242,7 +207,7 @@ def cmd_selfconsistent(args, cfg, out):
         _write_csv(os.path.join(out, "beta_scan.csv"), ["beta", "root_count"], rows)
         report["beta_scan"] = {str(float(b)): int(c) for b, c in rows}
     else:
-        bc = selfconsistent.beta_c(gamma, _value(cfg, "tol", numbers.Real, 0.02))
+        bc = selfconsistent.beta_c(gamma, _value(cfg, "tol", float, 0.02))
         report["beta_c"] = bc.value
         report["supercritical"] = bc.supercritical
     if args.beta is not None:
@@ -255,16 +220,15 @@ def cmd_selfconsistent(args, cfg, out):
 
 
 def cmd_constants(args, cfg, out):
-    levy = levy_mod.LevyMeasureSpec.from_json(cfg["levy"])
-    p = dict(_section(cfg, "appendix"))
-    if "sigma" in p:
-        raise ValueError("appendix takes its sigma profile as sigma_knots")
-    if "sigma_knots" in p:
-        knots = _value(p, "sigma_knots", [[numbers.Real]])
-        p["sigma"] = levy_mod.SigmaSpec(tuple(tuple(k) for k in knots))
-        del p["sigma_knots"]
-    ap = conditions.AppendixParams(**_config_kwargs(conditions.AppendixParams, p))
-    res = conditions.appendix_constants(ap, levy)
+    levy = _section(cfg, "levy", levy_mod.LevyMeasureSpec)
+    # the section gives its sigma profile as sigma_knots, a list of [r, sigma]
+    kw = _config_kwargs(conditions.AppendixParams, cfg["appendix"], "appendix",
+                        extra=("sigma_knots",))
+    if "sigma_knots" in kw:
+        knots = _value(kw, "sigma_knots", [[float]])
+        del kw["sigma_knots"]
+        kw["sigma"] = levy_mod.SigmaSpec(tuple(tuple(k) for k in knots))
+    res = conditions.appendix_constants(conditions.AppendixParams(**kw), levy)
     _dump(out, "report.json", {
         "c": res.c, "a": res.a, "eps": res.eps, "lambda0": res.lambda0,
         "C_contr": res.C_contr, "lambda_contr": res.lambda_contr,

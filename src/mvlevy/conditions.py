@@ -14,7 +14,7 @@ import numpy as np
 
 from .drift import _h
 from .errors import (CaseViolation, NotInTheta, QuadratureFailure, ZeroOverlap,
-                     _check_numeric)
+                     _check_types)
 from .levy import BALL, COMPLEMENT, J, SigmaSpec, tail_moment
 
 
@@ -333,7 +333,7 @@ class AppendixParams:
     sigma: SigmaSpec = None
 
     def __post_init__(self):
-        _check_numeric(self)
+        _check_types(self)
         if min(self.K1, self.K2, self.K3) <= 0:
             raise ValueError("K constants must be positive")
         if not (0.0 < self.kappa <= 1.0):
@@ -362,7 +362,9 @@ class AppendixConstants:
 
 def appendix_constants(ap, levy):
     """Closed-form coupling constants plus, when a sigma profile is given,
-    the weighted-TV contraction constants built from g1 = int 1/sigma."""
+    the weighted-TV contraction constants built from g1 = int 1/sigma.
+    OverflowError when c1 = exp(-c2 g(2 l0)) is so small that
+    C_contr = (1 + 1/c1)/2 is not a finite float."""
     Jk = J(levy, ap.kappa)
     if Jk <= 0.0:
         raise ZeroOverlap("J(kappa) = 0")
@@ -381,7 +383,9 @@ def appendix_constants(ap, levy):
     # g = g1 + (2/c2) g2 with g2 = K1 g1
     g_2l0 = g1_2l0 * (1.0 + 2.0 * ap.K1 / c2)
     c1 = math.exp(-c2 * g_2l0)
-    C_contr = (1.0 + 1.0 / c1) / 2.0
+    C_contr = (1.0 + 1.0 / c1) / 2.0 if c1 > 0.0 else math.inf
+    if math.isinf(C_contr):
+        raise OverflowError(f"C_contr = (1 + 1/c1)/2 overflows: c1 = exp(-{c2 * g_2l0:.6g})")
     if 2.0 * g_2l0 > 700.0:
         # 1 + e^{2g} ~ e^{2g}; avoids float overflow, rate underflows to 0
         lambda_contr = c2 * math.exp(-min(2.0 * g_2l0, 745.0))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import (DimensionMismatch, EmptyMeasure, UnsupportedFamily,
-                     _check_numeric, _config_kwargs)
+                     _check_types, _from_json, _to_json)
 from .measures import moment
 from .rng import stream
 
@@ -49,14 +49,14 @@ class DriftSpec:
     kappa: float = 0.0
     a1: float = 0.0
     a2: float = 0.0
-    y1: tuple = ()
-    y2: tuple = ()
+    y1: tuple[float, ...] = ()
+    y2: tuple[float, ...] = ()
     beta: float = 0.0
     g_kind: str = "constant"
-    g_params: tuple = (0.0,)
+    g_params: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        _check_numeric(self)
+        _check_types(self)
         if self.lam <= 0:
             raise UnsupportedFamily("lam must be positive")
         if self.family == DOUBLE_WELL and self.a1 * self.a2 >= 0:
@@ -80,25 +80,8 @@ class DriftSpec:
     def g_sup(self):
         return _g_function(self.g_kind, self.g_params)[1]
 
-    def to_json(self):
-        out = {"family": self.family, "lam": self.lam, "kappa": self.kappa}
-        if self.family == DOUBLE_WELL:
-            out.update(a1=self.a1, a2=self.a2)
-        if self.family == TWO_WELL:
-            out.update(y1=list(self.y1), y2=list(self.y2))
-        if self.family == ASYM_CUBIC:
-            out.update(beta=self.beta, g_kind=self.g_kind, g_params=list(self.g_params))
-        return out
-
-    @staticmethod
-    def from_json(obj):
-        kw = _config_kwargs(DriftSpec, obj)
-        if "y1" in kw:
-            kw["y1"] = tuple(kw["y1"])
-            kw["y2"] = tuple(kw["y2"])
-        if "g_params" in kw:
-            kw["g_params"] = tuple(kw["g_params"])
-        return DriftSpec(**kw)
+    to_json = _to_json
+    from_json = classmethod(_from_json)
 
 
 def measure_stats(spec, mu):
@@ -194,7 +177,7 @@ class A1Params:
     beta: float
 
     def __post_init__(self):
-        _check_numeric(self)
+        _check_types(self)
         if min(self.C_b, self.lam1, self.lam2) < 0:
             raise ValueError("C_b, lam1, lam2 must be nonnegative")
         if self.theta1 < 1.0 - self.beta / 2.0 - 1e-12:

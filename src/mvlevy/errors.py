@@ -1,34 +1,80 @@
-"""Exception hierarchy shared across the package, and the checks that
-turn a config section into dataclass keywords and its values into numbers."""
+"""Exception hierarchy shared across the package, and the one description
+of a config section: the declared field types of its dataclass.
+
+A config dataclass runs _check_types in __post_init__, reads a JSON
+section through _config_kwargs, and writes one back through _to_json."""
 
 import numbers
-from dataclasses import MISSING, fields
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", tuple: "a list"}
 
 
-def _config_kwargs(cls, obj):
-    """obj as keyword arguments of the dataclass cls.  ValueError when obj
-    is not an object, names a key that is not a field of cls, or lacks a
-    field that has no default."""
+def _is_kind(v, kind):
+    """True when v is of kind: float takes any real number and int any
+    integer, but a bool is neither; [k] is a nonempty list of k, tuple[k, ...]
+    a tuple of k, and any other type its instances."""
+    if isinstance(kind, list):
+        return isinstance(v, list) and bool(v) and all(_is_kind(x, kind[0]) for x in v)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(v, tuple) and all(_is_kind(x, typing.get_args(kind)[0]) for x in v)
+    kind = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
+    return not isinstance(v, bool) and isinstance(v, kind)
+
+
+def _kind_name(kind):
+    if isinstance(kind, list):
+        return f"a nonempty list, each item {_kind_name(kind[0])}"
+    if typing.get_origin(kind) is tuple:
+        return f"a list, each item {_kind_name(typing.get_args(kind)[0])}"
+    return _KIND_NAMES.get(kind, f"a {kind.__name__}")
+
+
+def _config_kwargs(cls, obj, section=None, extra=()):
+    """obj, the config section named section (cls's name by default), as
+    keyword arguments of the dataclass cls, with a list given for a tuple
+    field made a tuple.  The section may name the fields of cls except
+    those that hold a dataclass (the caller passes those itself), and the
+    keys in extra (the caller reads those itself).  ValueError when obj is
+    not an object, names another key, or lacks a field that has no default."""
+    section = section or cls.__name__
     if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__} config must be an object, got {obj!r}")
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        raise ValueError(f"config section {section!r} must be an object, got {obj!r}")
+    own = {f.name: f for f in fields(cls) if not is_dataclass(f.type)}
+    unknown = sorted(set(obj) - set(own) - set(extra))
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys {unknown}")
-    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is MISSING]
+        raise ValueError(f"unknown keys {unknown} in config section {section!r}")
+    missing = [k for k, f in own.items() if k not in obj and f.default is MISSING]
     if missing:
-        raise ValueError(f"{cls.__name__} config lacks {missing}")
-    return dict(obj)
+        raise ValueError(f"config section {section!r} lacks {missing}")
+    tuples = {k for k, f in own.items() if (typing.get_origin(f.type) or f.type) is tuple}
+    return {k: tuple(v) if k in tuples and isinstance(v, list) else v
+            for k, v in obj.items()}
 
 
-def _check_numeric(obj):
-    """ValueError unless every float- or int-typed field of the dataclass
-    obj holds a real number (a bool or a string is not one), so that the
-    range checks that follow compare numbers."""
+def _check_types(obj):
+    """ValueError unless every field of the dataclass obj holds a value of
+    its declared type (see _is_kind); a field whose default is None may
+    also hold None.  It runs first in __post_init__, so that the range
+    checks that follow compare numbers."""
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if f.type in (float, int) and (isinstance(v, bool)
-                                       or not isinstance(v, numbers.Real)):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be a number, got {v!r}")
+        if not (_is_kind(v, f.type) or (v is None and f.default is None)):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be "
+                             f"{_kind_name(f.type)}, got {v!r}")
+
+
+def _from_json(cls, obj):
+    """The config dataclass cls read from the JSON section obj."""
+    return cls(**_config_kwargs(cls, obj))
+
+
+def _to_json(obj):
+    """The config dataclass obj as a JSON section: every field, with tuples
+    written as lists."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 class MvLevyError(Exception):

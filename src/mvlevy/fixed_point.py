@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import lyapunov_params
-from .errors import MvLevyError, NoiseFloorExceedsTol, _check_numeric
+from .errors import MvLevyError, NoiseFloorExceedsTol, _check_types
 from .measures import EmpiricalMeasure, concentration, moment, w1
 from .simulate import SimConfig, frozen_trajectory
 from . import rng as _rng
@@ -38,7 +38,7 @@ class FixedPointConfig:
     damping: float = 0.0
 
     def __post_init__(self):
-        _check_numeric(self)
+        _check_types(self)
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.w1_tol <= 0:

@@ -20,13 +20,26 @@ from .errors import (
     InvalidRegion,
     QuadratureFailure,
     SigmaViolatesH2,
-    _check_numeric,
-    _config_kwargs,
+    _check_types,
+    _from_json,
+    _is_kind,
+    _to_json,
 )
 
 STABLE = "stable"
 TRUNCATED = "truncated_stable"
 COMPOUND = "compound_poisson"
+
+
+def _jump_dist_ok(jump_dist):
+    """True for ("gaussian", std) with std > 0 and ("uniform", lo, hi) with
+    0 <= lo < hi: the jump laws of a compound Poisson spec."""
+    if not jump_dist or not all(_is_kind(p, float) for p in jump_dist[1:]):
+        return False
+    name, *params = jump_dist
+    if name == "gaussian":
+        return len(params) == 1 and params[0] > 0
+    return name == "uniform" and len(params) == 2 and 0 <= params[0] < params[1]
 
 
 def stable_constant(dim, alpha):
@@ -51,6 +64,8 @@ class LevyMeasureSpec:
 
     kind: "stable", "truncated_stable", or "compound_poisson".
     alpha = 2 means Brownian motion with no jump part.
+    jump_dist (compound_poisson only): ("gaussian", std), centred normal
+    jumps, or ("uniform", lo, hi), jump sizes uniform on [lo, hi].
     scale multiplies the process, so the Levy density constant is
     stable_constant(dim, alpha) * scale^alpha.
     """
@@ -64,7 +79,7 @@ class LevyMeasureSpec:
     jump_dist: tuple = ()
 
     def __post_init__(self):
-        _check_numeric(self)
+        _check_types(self)
         if self.kind not in (STABLE, TRUNCATED, COMPOUND):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind != COMPOUND and not (0.0 < self.alpha <= 2.0):
@@ -77,6 +92,10 @@ class LevyMeasureSpec:
             raise ValueError("truncated spec needs a positive cutoff")
         if self.kind == COMPOUND and self.rate <= 0:
             raise ValueError("compound spec needs a positive rate")
+        if self.kind == COMPOUND and not _jump_dist_ok(self.jump_dist):
+            raise ValueError('compound spec needs jump_dist ["gaussian", std] with '
+                             'std > 0 or ["uniform", lo, hi] with 0 <= lo < hi, '
+                             f"got {list(self.jump_dist)}")
 
     @property
     def density_constant(self):
@@ -101,10 +120,8 @@ class LevyMeasureSpec:
             d = self.dim
             coef = 2.0 ** (1.0 - d / 2.0) / (Gamma(d / 2.0) * std ** d)
             return self.rate * coef * r ** (d - 1) * np.exp(-r ** 2 / (2.0 * std ** 2))
-        if name == "uniform":
-            lo, hi = params
-            return self.rate * np.where((r >= lo) & (r <= hi), 1.0 / (hi - lo), 0.0)
-        raise ValueError(f"unknown jump_dist {name!r}")
+        lo, hi = params
+        return self.rate * np.where((r >= lo) & (r <= hi), 1.0 / (hi - lo), 0.0)
 
     def levy_density(self, z):
         """Pointwise Levy density at vectors z (rows)."""
@@ -130,21 +147,8 @@ class LevyMeasureSpec:
             return self.rate * np.where((r >= lo) & (r <= hi), 0.5 / (hi - lo), 0.0)
         raise ValueError("pointwise density unavailable for this jump_dist")
 
-    def to_json(self):
-        out = {"kind": self.kind, "alpha": self.alpha, "scale": self.scale, "dim": self.dim}
-        if self.kind == TRUNCATED:
-            out["cutoff"] = self.cutoff
-        if self.kind == COMPOUND:
-            out["rate"] = self.rate
-            out["jump_dist"] = list(self.jump_dist)
-        return out
-
-    @staticmethod
-    def from_json(obj):
-        kw = _config_kwargs(LevyMeasureSpec, obj)
-        if "jump_dist" in kw:
-            kw["jump_dist"] = tuple(kw["jump_dist"])
-        return LevyMeasureSpec(**kw)
+    to_json = _to_json
+    from_json = classmethod(_from_json)
 
 
 BALL = "ball"
@@ -327,13 +331,11 @@ def _compound_jumps(spec, rng, n):
     d = spec.dim
     if name == "gaussian":
         return params[0] * rng.standard_normal((n, d))
-    if name == "uniform":
-        lo, hi = params
-        radii = rng.uniform(lo, hi, n)
-        dirs = rng.standard_normal((n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return radii[:, None] * dirs
-    raise ValueError(f"unknown jump_dist {name!r}")
+    lo, hi = params
+    radii = rng.uniform(lo, hi, n)
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return radii[:, None] * dirs
 
 
 def _truncated_increment(spec, dt, rng, size):

@@ -20,6 +20,18 @@ SLICE_COUNT = 64
 SLICE_SEED = 987654321
 
 
+def _write_csv(path, header, rows):
+    """Write header and rows, a table of numbers, to path: every value %.17g
+    (exact round trip), in csv.writer's default dialect.  Rows are
+    formatted a block at a time, so the text in memory stays small."""
+    data = np.reshape(np.asarray(rows, dtype=float), (-1, len(header)))
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(data), 4096):
+            fh.write("".join(row % tuple(r) for r in data[i:i + 4096].tolist()))
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Probability measure sum_i w_i delta_{x_i} with w summing to one."""
@@ -79,16 +91,9 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(self.points + c, self.weights)
 
     def to_csv(self, path):
-        """Write a weight column and one column per coordinate, %.17g
-        (exact round trip), in csv.writer's default dialect.  Rows are
-        formatted a block at a time, so the text in memory stays small."""
-        data = np.column_stack([self.weights, self.points])
-        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
-        header = ",".join(["weight"] + [f"x_{i+1}" for i in range(self.dim)])
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n")
-            for i in range(0, len(data), 4096):
-                fh.write("".join(row % tuple(r) for r in data[i:i + 4096].tolist()))
+        """Write a weight column and one column per coordinate (see _write_csv)."""
+        _write_csv(path, ["weight"] + [f"x_{i+1}" for i in range(self.dim)],
+                   np.column_stack([self.weights, self.points]))
 
     @staticmethod
     def from_csv(path):

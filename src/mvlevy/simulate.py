@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import Blowup, DimensionMismatch, _check_numeric, _config_kwargs
+from .errors import Blowup, DimensionMismatch, _check_types, _from_json, _to_json
 from .drift import affine_coefficients, field_closure, measure_stats
 from .levy import STABLE, sample_increment
 from .measures import EmpiricalMeasure
@@ -39,7 +39,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_numeric(self)
+        _check_types(self)
         if self.dt <= 0 or self.dt > 0.01:
             raise ValueError("dt must lie in (0, 0.01]")
         if not (0.0 <= self.burn_in_fraction < 1.0):
@@ -49,14 +49,8 @@ class SimConfig:
         if self.thin < 1 or self.n_chains < 1:
             raise ValueError("thin and n_chains must be positive")
 
-    def to_json(self):
-        return {"dt": self.dt, "T": self.T, "n_chains": self.n_chains,
-                "burn_in_fraction": self.burn_in_fraction,
-                "thin": self.thin, "seed": self.seed}
-
-    @staticmethod
-    def from_json(obj):
-        return SimConfig(**_config_kwargs(SimConfig, obj))
+    to_json = _to_json
+    from_json = classmethod(_from_json)
 
 
 @dataclass(frozen=True)

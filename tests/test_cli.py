@@ -1,14 +1,21 @@
 """End-to-end tests of the command-line front end: exit codes, artifact
 files, overrides, and reproducibility."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvlevy.cli import main
+from mvlevy import (A1Params, AppendixParams, DriftSpec, FixedPointConfig,
+                    LevyMeasureSpec, SimConfig)
+from mvlevy.cli import _Ex14, _Ex15, main
 
 
 def _write_cfg(path, obj):
@@ -239,6 +246,16 @@ class TestConstants:
         assert rep["lambda0"] > 0
         assert rep["C_contr"] is None
 
+    def test_c_contr_overflow_is_numerical_error(self, tmp_path, capsys):
+        # g(2 l0) is large, so c1 = exp(-c2 g(2 l0)) underflows to 0
+        appendix = {"K1": 1, "K2": 1, "K3": 1, "kappa": 0.5, "l0": 1, "C_V": 1,
+                    "lambda_V": 1, "sigma_knots": [[0.01, 0.001], [2, 0.002]]}
+        assert main(["constants", "--set", 'levy={"alpha": 1.5}',
+                     "--set", f"appendix={json.dumps(appendix)}",
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "error: numerical failure" in err and "C_contr" in err
+
     def test_no_jump_part_is_numerical_error(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json", {
             "levy": {"kind": "stable", "alpha": 2.0, "scale": 1.0},
@@ -262,8 +279,8 @@ APPENDIX = {"K1": 1.0, "K2": 0.5, "K3": 1.0, "kappa": 1.0, "l0": 1.0, "C_V": 2.0
 
 
 class TestRawConfigValues:
-    """Config values read outside the spec dataclasses are type-checked
-    and a bad one exits 2, not with a traceback."""
+    """A bad config value, in a section or at the top level, exits 2, not
+    with a traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--set", "levy={}", "--set", "appendix.bogus=1"],
@@ -294,15 +311,147 @@ class TestRawConfigValues:
          "--set", f"ex15={json.dumps(dict(EX15, y1={}))}"],
         ["check", "--set", 'levy={"alpha": 1.8}',
          "--set", f"ex15={json.dumps(dict(EX15, y2='-1'))}"],
+        ["fixpoint", *FP_RUN, "--set", "fixed_point.dampng=0.5"],
+        ["fixpoint", *FP_RUN, "--set", f"fixed_point.sim={json.dumps(SIM_BLOCK)}"],
+        ["sample", "--set", "seed=[1]", "--set", "levy={}"],
+        ["sample", "--set", "seed=1.5", "--set", "levy={}"],
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", f"ex14={json.dumps(dict(EX14, bogus=7))}"],
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", f"ex15={json.dumps(dict(EX15, bogus=7))}"],
+        ["sample", "--set", "seed=1", "--set",
+         'levy={"kind": "compound_poisson", "rate": 1, "jump_dist": ["uniform", 1]}'],
+        ["sample", "--set", "seed=1", "--set",
+         'levy={"kind": "compound_poisson", "rate": 1, "jump_dist": ["cauchy", 1]}'],
+        ["fixpoint", *FP_RUN, "--set",
+         'drift={"family": "asymmetric_cubic", "lam": 1, "beta": 1.2, '
+         '"g_kind": "tanh_scaled", "g_params": ["a", 1]}'],
     ], ids=["appendix-unknown-key", "appendix-sigma-key", "gamma-string",
             "tol-string", "seeds-scalar", "m-star-string", "n-string",
             "dt-bool", "ex14-string", "ex15-string", "seeds-object",
             "mu0-mean-object", "frozen-mean-scalar", "x0-nested",
             "sigma-knots-scalar", "sigma-knots-single", "ex15-y1-object",
-            "ex15-y2-string"])
+            "ex15-y2-string", "fixed-point-typo", "fixed-point-sim-key",
+            "seed-list", "seed-float", "ex14-unknown-key", "ex15-unknown-key",
+            "jump-dist-short", "jump-dist-unknown", "g-params-string"])
     def test_bad_value_is_validation_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert "error: invalid input" in capsys.readouterr().err
+
+
+M_STAR = {"C_b": 1.0, "lam1": 1.0, "lam2": 0.5, "theta1": 3.0, "theta2": 1.0,
+          "theta3": 1.0, "theta4": 1.0, "beta": 1.5}
+# each config dataclass the CLI reads, with the section it reads it from
+# and a valid run that reads that section
+SECTIONS = {
+    "levy": (LevyMeasureSpec, ["sample", "--set", "seed=1", "--set", "levy={}"]),
+    "drift": (DriftSpec, ["simulate", *FP_RUN]),
+    "sim": (SimConfig, ["simulate", *FP_RUN]),
+    "fixed_point": (FixedPointConfig, ["fixpoint", *FP_RUN]),
+    "m_star": (A1Params, ["check", "--set", 'levy={"alpha": 1.8}',
+                          "--set", f"m_star={json.dumps(M_STAR)}"]),
+    "appendix": (AppendixParams, ["constants", "--set", "levy={}",
+                                  "--set", f"appendix={json.dumps(APPENDIX)}"]),
+    "ex14": (_Ex14, ["check", "--set", 'levy={"alpha": 1.8}',
+                     "--set", f"ex14={json.dumps(EX14)}"]),
+    "ex15": (_Ex15, ["check", "--set", 'levy={"alpha": 1.8}',
+                     "--set", f"ex15={json.dumps(EX15)}"]),
+}
+
+
+def _wrong_kinds(tp):
+    """Values that are not of the declared field type tp."""
+    if tp in (float, int):
+        return ["a", True, {}] + ([1.5] if tp is int else [])
+    return [3]
+
+
+WRONG_KIND_CASES = [(section, f.name, v) for section, (cls, _) in SECTIONS.items()
+                    for f in fields(cls) if not is_dataclass(f.type)
+                    for v in _wrong_kinds(f.type)]
+
+
+class TestWrongKind:
+    """Every field of every config section, given a value of the wrong
+    kind, exits 2 before a run starts."""
+
+    def test_sections_cover_every_config_dataclass(self, config_dataclasses):
+        assert {cls for cls, _ in SECTIONS.values()} == config_dataclasses
+
+    @pytest.mark.parametrize("section, key, value", WRONG_KIND_CASES,
+                             ids=[f"{s}.{k}={json.dumps(v)}" for s, k, v in WRONG_KIND_CASES])
+    def test_wrong_kind_is_validation_error(self, tmp_path, capsys, section, key, value):
+        argv = SECTIONS[section][1]
+        assert main([*argv, "--set", f"{section}.{key}={json.dumps(value)}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error: invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_base_run_is_valid(self, tmp_path, section):
+        # the wrong value, not the rest of the run, is what fails above
+        assert main([*SECTIONS[section][1], "--out", str(tmp_path / "o")]) == 0
+
+
+def _spec_strategies():
+    floats = st.floats(0.1, 3.0)
+    levy = st.one_of(
+        st.builds(LevyMeasureSpec, alpha=st.floats(0.1, 2.0), scale=floats,
+                  dim=st.integers(1, 3)),
+        st.builds(LevyMeasureSpec, kind=st.just("truncated_stable"),
+                  alpha=st.floats(0.1, 2.0), cutoff=floats),
+        st.builds(LevyMeasureSpec, kind=st.just("compound_poisson"), rate=floats,
+                  jump_dist=st.one_of(st.tuples(st.just("gaussian"), floats),
+                                      st.tuples(st.just("uniform"), st.just(0.0),
+                                                floats))))
+    drift = st.one_of(
+        st.builds(DriftSpec, family=st.just("double_well"), lam=floats, kappa=floats,
+                  a1=st.floats(-3.0, -0.1), a2=floats),
+        st.builds(DriftSpec, family=st.just("mean_field_ou"), lam=floats),
+        st.builds(DriftSpec, family=st.just("asymmetric_cubic"), lam=floats,
+                  kappa=floats, beta=st.floats(1.0, 2.0), g_kind=st.just("cosine"),
+                  g_params=st.tuples(floats, floats)),
+        st.integers(1, 3).flatmap(lambda d: st.builds(
+            DriftSpec, family=st.just("symmetric_two_well"), lam=floats,
+            y1=st.tuples(*[floats] * d), y2=st.tuples(*[floats] * d))))
+    sim = st.builds(SimConfig, dt=st.floats(1e-4, 0.01), T=st.floats(10.0, 100.0),
+                    n_chains=st.integers(1, 10 ** 4), burn_in_fraction=st.floats(0.0, 0.9),
+                    thin=st.integers(1, 100), seed=st.integers(0, 2 ** 64 - 1))
+    return st.one_of(levy, drift, sim)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_spec_strategies())
+def test_spec_json_round_trip(spec):
+    text = json.dumps(spec.to_json())
+    assert type(spec).from_json(json.loads(text)) == spec
+
+
+def _csv_writer_bytes(path):
+    """The table in path written again by csv.writer, every value %.17g."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    buf = io.StringIO(newline="")
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    for row in rows:
+        wr.writerow([f"{float(v):.17g}" for v in row])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sample", "--set", "seed=3", "--set", 'levy={"alpha": 1.2, "dim": 2}',
+      "--set", "n=5000"], "samples.csv"),
+    (["selfconsistent", "--gamma", "2.0", "--beta", "3.0",
+      "--beta-scan", "0.5:3.0:0.5"], "h_values.csv"),
+    (["selfconsistent", "--gamma", "2.0", "--beta-scan", "0.5:3.0:0.5"],
+     "beta_scan.csv"),
+], ids=["samples", "h_values", "beta_scan"])
+def test_cli_csv_bytes_match_csv_writer(tmp_path, argv, name):
+    # samples.csv has more rows than one write block of the CSV writer
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    path = tmp_path / name
+    assert len(path.read_text().splitlines()) > 2
+    assert path.read_bytes() == _csv_writer_bytes(path)
 
 
 def test_console_script_smoke(tmp_path):

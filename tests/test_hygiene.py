@@ -1,11 +1,16 @@
 """Source hygiene: no module imports a name it never uses, no function
-binds a local name it never reads, and no random stream is keyed by an
-integer offset."""
+binds a local name it never reads, no random stream is keyed by an
+integer offset, and every config field has a type the checker knows."""
 
 import ast
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mvlevy.levy import SigmaSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mvlevy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -110,3 +115,26 @@ def test_stream_offset_check_sees_keys_and_seeds():
         "    e = replace(cfg.sim, seed=cfg.sim.seed + i)\n"
         "    return a, b, c, d, e\n")
     assert _offset_keys(tree) == [(3, "stream"), (4, "stream"), (6, "replace")]
+
+
+def _known_type(tp):
+    """A declared field type errors._check_types can check: float, int, str,
+    tuple, tuple[k, ...] of a known k, or a dataclass."""
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        return len(args) == 2 and args[1] is Ellipsis and _known_type(args[0])
+    return tp in (float, int, str, tuple) or is_dataclass(tp)
+
+
+def test_config_fields_have_known_types(config_dataclasses):
+    assert {"LevyMeasureSpec", "DriftSpec", "SimConfig", "FixedPointConfig", "A1Params",
+            "AppendixParams"} <= {cls.__name__ for cls in config_dataclasses}
+    unknown = sorted((cls.__name__, f.name, repr(f.type)) for cls in config_dataclasses
+                     for f in fields(cls) if not _known_type(f.type))
+    assert not unknown, f"config fields of a type the checker does not know: {unknown}"
+
+
+def test_known_type_check_rejects_other_annotations():
+    assert _known_type(tuple[float, ...]) and _known_type(SigmaSpec)
+    assert not any(_known_type(tp) for tp in (list, dict, bool, tuple[float, str],
+                                              np.ndarray, float | None))

@@ -289,3 +289,14 @@ def test_spec_rejects_bad_parameters():
         LevyMeasureSpec(kind="truncated_stable", cutoff=0.0)
     with pytest.raises(ValueError):
         LevyMeasureSpec(kind="tempered")
+
+
+@pytest.mark.parametrize("jump_dist", [
+    (), ("uniform", 1.0), ("uniform", 2.0, 1.0), ("uniform", -1.0, 1.0),
+    ("gaussian",), ("gaussian", 0.0), ("gaussian", 1.0, 2.0), ("gaussian", "1"),
+    ("gaussian", True), ("cauchy", 1.0), (["gaussian"], 1.0),
+])
+def test_compound_spec_checks_jump_dist_at_construction(jump_dist):
+    # a bad jump law used to fail only when sampled
+    with pytest.raises(ValueError, match="jump_dist"):
+        LevyMeasureSpec(kind="compound_poisson", rate=1.0, jump_dist=jump_dist)
