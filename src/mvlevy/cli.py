@@ -193,10 +193,13 @@ def cmd_check(args, cfg, out):
 
 def cmd_selfconsistent(args, cfg, out):
     gamma = args.gamma if args.gamma is not None else _value(cfg, "gamma", float)
+    selfconsistent.check_gamma(gamma)
     report = {"gamma": gamma, "formula_value":
               (12.0 - gamma ** 2) / (2.0 * gamma) if gamma < selfconsistent.GAMMA_C else 0.0}
     if args.beta_scan:
         lo, hi, step = (float(v) for v in args.beta_scan.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and step > 0):
+            raise ValueError(f"--beta-scan {args.beta_scan}: need LO <= HI, STEP > 0")
         betas = np.arange(lo, hi + 1e-12, step)
         rows = []
         for b in betas:

@@ -26,14 +26,20 @@ from .errors import GridTooCoarse, NoTransition, QuadratureFailure
 GAMMA_C = 2.0 * math.sqrt(3.0)
 
 
+def check_gamma(gamma):
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class GradientCase:
     gamma: float
     beta: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
 
     def exponent(self, x, m):
         x = np.asarray(x, dtype=float)
@@ -75,56 +81,47 @@ def h_fn(case, m):
     return float(val)
 
 
-# m-rows per block of _h_scan: a block's three 8 x 6001 float64 arrays
-# (1.2 MB) stay in cache; 8 was the fastest of 1-128 rows on a 2-core Xeon.
-# The two block buffers are reused on purpose: fresh block-sized
-# temporaries (np.outer, np.exp, np.trapezoid per block) are returned to
-# the OS and faulted in again, about 31000 page faults per 1000-row scan,
-# which made the selfconsistent_sweep workload 2.3x slower (5.1 -> 11.8 s).
+# m-rows per block of _h_scan.  On a 2-core Xeon, 8 to 64 rows ran the
+# selfconsistent sweep within noise (about 2 s); the peak RSS grows with the
+# block (101 MB at 8 rows, 104 MB at 64).  The one block buffer is reused:
+# fresh block temporaries are returned to the OS and faulted in again (31000
+# page faults per 1000-row scan; selfconsistent_sweep 5.1 -> 11.8 s).
 SCAN_BLOCK = 8
 
 
-def _h_scan(case, ms):
-    """Vectorized h on an m-grid via a shared dense trapezoid rule.
+def _h_scan(case, m_max, grid_n):
+    """(ms, hs): h on ms = linspace(-m_max, m_max, grid_n) by a shared dense
+    trapezoid rule; enough for sign scanning, and roots are refined by h_fn.
 
-    Accurate enough for sign scanning; root refinement goes back to the
-    adaptive h_fn.  The m-grid is walked SCAN_BLOCK rows at a time in
-    block-sized buffers, so memory does not grow with len(ms).  Each row
-    takes the same IEEE operations in the same order as the whole-matrix
-    rule
-        e = gamma outer(ms, xs) - xs^4 + beta xs^2;  e -= rowmax(e)
-        np.trapezoid((xs - m) exp(e), xs, axis=1)
-    and numpy sums each contiguous row pairwise whatever the block size,
-    so the result is bit-identical to that rule.
+    h(-m) = -h(m), as the exponent is unchanged under (x, m) -> (-x, -m):
+    only the upper half ms[grid_n // 2:] is integrated, and the lower half
+    of ms and hs is its negated mirror.  Per row h(m) = S1 - m S0, with
+    S_k = sum_j t_j x_j^k exp(e_j - max e) and t the trapezoid weights, so a
+    block of SCAN_BLOCK rows is summed by one matrix product with [t x, t];
+    memory does not grow with grid_n.
     """
-    m_abs = float(np.abs(ms).max())
-    lo, hi, _ = _support(case, m_abs)
-    lo2, hi2, _ = _support(case, -m_abs)
-    lo, hi = min(lo, lo2), max(hi, hi2)
-    xs = np.linspace(lo, hi, 6001)
-    x4 = xs ** 4
-    bx2 = case.beta * xs ** 2
-    dx = np.diff(xs)
-    out = np.empty(len(ms))
-    rows = np.empty((SCAN_BLOCK, xs.size))      # exponent, then integrand
-    pair = np.empty((SCAN_BLOCK, xs.size - 1))  # trapezoid terms
-    for i in range(0, len(ms), SCAN_BLOCK):
-        m = ms[i:i + SCAN_BLOCK, None]
-        k = len(m)
-        e, s = rows[:k], pair[:k]
-        np.multiply(m, xs, out=e)
-        e *= case.gamma
-        e -= x4
-        e += bx2
+    half = np.linspace(-m_max, m_max, grid_n)[grid_n // 2:]
+    half[:grid_n % 2] = 0.0  # an odd grid's middle row; linspace can miss 0
+    lo, hi, _ = _support(case, m_max)
+    lo2, hi2, _ = _support(case, -m_max)
+    xs = np.linspace(min(lo, lo2), max(hi, hi2), 6001)
+    f = case.beta * xs ** 2 - xs ** 4
+    t = np.gradient(xs)  # (x[j+1] - x[j-1]) / 2 inside, x[1] - x[0] at the ends
+    t[[0, -1]] /= 2.0
+    weights = np.column_stack((t * xs, t))
+    sums = np.empty((half.size, 2))
+    rows = np.empty((SCAN_BLOCK, xs.size))
+    for i in range(0, half.size, SCAN_BLOCK):
+        m = half[i:i + SCAN_BLOCK, None]
+        e = rows[:len(m)]
+        np.multiply(case.gamma * m, xs, out=e)
+        e += f
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
-        e *= xs - m
-        # np.trapezoid's own rule: (d (y[1:] + y[:-1]) / 2).sum()
-        np.add(e[:, 1:], e[:, :-1], out=s)
-        s *= dx
-        s /= 2.0
-        s.sum(axis=1, out=out[i:i + k])
-    return out
+        np.matmul(e, weights, out=sums[i:i + len(m)])
+    hs = sums[:, 0] - half * sums[:, 1]
+    return (np.concatenate((-half[::-1][:grid_n // 2], half)),
+            np.concatenate((-hs[::-1][:grid_n // 2], hs)))
 
 
 def root_count(case, m_max, grid_n, refine=True):
@@ -135,8 +132,7 @@ def root_count(case, m_max, grid_n, refine=True):
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
-    ms = np.linspace(-m_max, m_max, grid_n)
-    hs = _h_scan(case, ms)
+    ms, hs = _h_scan(case, m_max, grid_n)
     roots = []
     tangential = []
     scale = np.abs(hs).max()
@@ -191,8 +187,9 @@ def beta_c(gamma, tol):
     For gamma >= 2 sqrt(3) the count is already 3 for every beta > 0; the
     result is flagged supercritical with value 0.
     """
-    if gamma <= 0 or tol <= 0:
-        raise ValueError("gamma and tol must be positive")
+    check_gamma(gamma)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if gamma >= GAMMA_C:
         return BetaCResult(0.0, True)
     lo, hi = 1e-3, 1e2

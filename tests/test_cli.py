@@ -233,6 +233,37 @@ class TestSelfConsistent:
         assert lines[0] == "m,h"
         assert len(lines) == 242
 
+    @pytest.mark.parametrize("argv", [
+        ["--gamma", "0"], ["--gamma", "-1"], ["--gamma", "inf"], ["--gamma", "nan"],
+        ["--set", "gamma=0"], ["--set", "gamma=Infinity"], ["--set", "gamma=NaN"],
+        ["--gamma", "0", "--beta-scan", "0.5:3.0:0.5"],
+    ])
+    def test_invalid_gamma_is_validation_error(self, tmp_path, capsys, argv):
+        assert main(["selfconsistent", *argv, "--out", str(tmp_path / "o")]) == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "NaN", "Infinity"])
+    def test_bad_tol_is_validation_error(self, tmp_path, capsys, tol):
+        # a NaN or infinite tol skipped the bisection: beta_c = 50.0005
+        assert main(["selfconsistent", "--gamma", "2.0", "--set", f"tol={tol}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_is_validation_error(self, tmp_path, capsys, beta):
+        assert main(["selfconsistent", "--gamma", "2.0", "--beta", beta,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0.5:3.0:0", "0.5:3.0:-0.5", "3.0:0.5:0.5",
+                                      "0.5:3.0:nan", "nan:3.0:0.5", "0.5:inf:0.5"])
+    def test_bad_beta_scan_is_validation_error(self, tmp_path, capsys, spec):
+        assert main(["selfconsistent", "--gamma", "2.0", "--beta-scan", spec,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--beta-scan" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "beta_scan.csv").exists()
+
 
 class TestConstants:
     def test_report(self, tmp_path):

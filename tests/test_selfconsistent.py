@@ -20,7 +20,7 @@ from mvlevy.selfconsistent import GAMMA_C, BetaCResult, GradientCase, _h_scan, _
 
 
 def _h_scan_whole_matrix(case, ms):
-    """The whole-matrix trapezoid rule that the blocked scan reproduces."""
+    """The whole-matrix trapezoid rule that the blocked scan approximates."""
     m_abs = float(np.abs(ms).max())
     lo, hi, _ = _support(case, m_abs)
     lo2, hi2, _ = _support(case, -m_abs)
@@ -31,9 +31,15 @@ def _h_scan_whole_matrix(case, ms):
     return np.trapezoid((xs[None, :] - ms[:, None]) * dens, xs, axis=1)
 
 
-def _scan_grid(beta, grid_n):
-    m_max = max(6.0, 1.6 * np.sqrt(max(beta, 1.0)))
-    return np.linspace(-m_max, m_max, grid_n)
+def _m_max(beta):
+    return max(6.0, 1.6 * np.sqrt(max(beta, 1.0)))
+
+
+def _count(case, m_max, grid_n):
+    try:
+        return root_count(case, m_max, grid_n, refine=False)["count"]
+    except GridTooCoarse:
+        return "too coarse"
 
 
 class TestHFunction:
@@ -56,6 +62,12 @@ class TestHFunction:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             GradientCase(0.0, 1.0)
+
+    @pytest.mark.parametrize("gamma, beta", [(-1.0, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+                                             (2.0, np.inf), (2.0, np.nan)])
+    def test_non_finite_or_negative(self, gamma, beta):
+        with pytest.raises(ValueError, match="gamma" if beta == 1.0 else "beta"):
+            GradientCase(gamma, beta)
 
 
 class TestRootCount:
@@ -107,21 +119,45 @@ class TestRootCount:
 
 
 class TestHScan:
+    def _assert_matches_whole_matrix(self, monkeypatch, gamma, beta, grid_n):
+        case = GradientCase(gamma, beta)
+        m_max = _m_max(beta)
+        ms, hs = _h_scan(case, m_max, grid_n)
+        ref = _h_scan_whole_matrix(case, ms)
+        scale = np.abs(ref).max()
+        assert np.abs(hs - ref).max() <= 1e-11 * scale
+        clear = np.abs(ref) > 1e-10 * scale
+        assert np.array_equal(np.sign(hs[clear]), np.sign(ref[clear]))
+        count = _count(case, m_max, grid_n)
+        monkeypatch.setattr(selfconsistent, "_h_scan", lambda c, mm, n: (ms, ref))
+        assert count == _count(case, m_max, grid_n)
+
     @pytest.mark.parametrize("grid_n", [1000, 1003])
     @pytest.mark.parametrize("gamma, beta", [(1.0, 0.001), (2.0, 0.91), (2.0, 3.0),
                                              (2.5, 50.0), (4.0, 100.0)])
-    def test_bit_identical_to_whole_matrix(self, gamma, beta, grid_n):
-        # 1003 is not a multiple of the block size: the last block is partial
-        case = GradientCase(gamma, beta)
-        ms = _scan_grid(beta, grid_n)
-        assert np.array_equal(_h_scan(case, ms), _h_scan_whole_matrix(case, ms))
+    def test_matches_whole_matrix(self, monkeypatch, gamma, beta, grid_n):
+        # 1003 is odd and not a multiple of the block size: the middle row
+        # is integrated and the last block is partial
+        self._assert_matches_whole_matrix(monkeypatch, gamma, beta, grid_n)
 
     @pytest.mark.parametrize("block", [1, 13, 2000])
-    def test_block_size_does_not_change_bits(self, monkeypatch, block):
-        case = GradientCase(2.0, 0.95)
-        ms = _scan_grid(0.95, 1000)
+    def test_any_block_size_matches_whole_matrix(self, monkeypatch, block):
         monkeypatch.setattr(selfconsistent, "SCAN_BLOCK", block)
-        assert np.array_equal(_h_scan(case, ms), _h_scan_whole_matrix(case, ms))
+        self._assert_matches_whole_matrix(monkeypatch, 2.0, 0.95, 1000)
+
+    @pytest.mark.parametrize("m_max, grid_n", [(6.0, 1000), (6.0, 1003), (16.0, 1003)])
+    def test_grid_is_odd_symmetric(self, m_max, grid_n):
+        # linspace(-16, 16, 1003) puts its middle point at -1.8e-15, not 0
+        ms, hs = _h_scan(GradientCase(2.0, 3.0), m_max, grid_n)
+        assert len(ms) == len(hs) == grid_n
+        assert ms[0] == -m_max and ms[-1] == m_max and np.all(np.diff(ms) > 0)
+        assert np.array_equal(ms, -ms[::-1])
+        assert np.allclose(ms, np.linspace(-m_max, m_max, grid_n), rtol=0, atol=1e-13)
+        low = grid_n // 2
+        assert np.array_equal(hs[:low], -hs[::-1][:low])
+        if grid_n % 2:
+            # the middle row is integrated: h(0) = 0 up to rounding
+            assert ms[low] == 0.0 and abs(hs[low]) < 1e-12 * np.abs(hs).max()
 
 
 class TestBetaC:
@@ -143,10 +179,21 @@ class TestBetaC:
         assert float(r) == 1.25
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            beta_c(-1.0, 1e-3)
-        with pytest.raises(ValueError):
-            beta_c(2.0, 0.0)
+        for gamma in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                beta_c(gamma, 1e-3)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                beta_c(2.0, tol)
+
+    @pytest.mark.parametrize("gamma, tol, value", [
+        (1.0, 0.02, 2.3996576538085934), (1.5, 0.02, 1.5329671020507811),
+        (2.0, 0.02, 0.9104147338867186), (2.5, 0.02, 0.4099314575195312),
+        (2.0, 1e-3, 0.9107961997985838)])
+    def test_pinned_values(self, gamma, tol, value):
+        # the bisection's exact midpoints: a scan that moves any count it
+        # takes moves these bits
+        assert beta_c(gamma, tol).value == value
 
 
 class TestStationaryDensity:
