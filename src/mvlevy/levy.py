@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as Gamma
 
 from .errors import (
     DivergentMoment,
@@ -48,14 +47,17 @@ def stable_constant(dim, alpha):
     Chosen so the Levy-Khintchine exponent of C|z|^{-d-alpha} equals
     -|xi|^alpha:  C = alpha 2^{alpha-1} Gamma((d+alpha)/2)
                       / (pi^{d/2} Gamma(1-alpha/2)).
+    At alpha = 2 the pole of Gamma(1-alpha/2) gives C = 0: no jump part.
     """
-    return (alpha * 2.0 ** (alpha - 1.0) * Gamma((dim + alpha) / 2.0)
-            / (math.pi ** (dim / 2.0) * Gamma(1.0 - alpha / 2.0)))
+    if alpha == 2.0:
+        return 0.0
+    return (alpha * 2.0 ** (alpha - 1.0) * math.gamma((dim + alpha) / 2.0)
+            / (math.pi ** (dim / 2.0) * math.gamma(1.0 - alpha / 2.0)))
 
 
 def sphere_area(dim):
     """Surface area of the unit sphere in R^dim."""
-    return 2.0 * math.pi ** (dim / 2.0) / Gamma(dim / 2.0)
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class LevyMeasureSpec:
             std = params[0]
             # chi distribution of |Z|, Z ~ N(0, std^2 I_d)
             d = self.dim
-            coef = 2.0 ** (1.0 - d / 2.0) / (Gamma(d / 2.0) * std ** d)
+            coef = 2.0 ** (1.0 - d / 2.0) / (math.gamma(d / 2.0) * std ** d)
             return self.rate * coef * r ** (d - 1) * np.exp(-r ** 2 / (2.0 * std ** 2))
         lo, hi = params
         return self.rate * np.where((r >= lo) & (r <= hi), 1.0 / (hi - lo), 0.0)
@@ -226,7 +228,8 @@ def overlap_mass(spec, x):
         # nu({z . x/|x| > r/2}) = C A (r/2)^{-alpha} / alpha, A = 1 in d = 1
         a = spec.alpha
         d = spec.dim
-        A = math.pi ** ((d - 1) / 2.0) * Gamma((a + 1.0) / 2.0) / Gamma((d + a) / 2.0)
+        A = (math.pi ** ((d - 1) / 2.0) * math.gamma((a + 1.0) / 2.0)
+             / math.gamma((d + a) / 2.0))
         return 2.0 * spec.density_constant * A * (r / 2.0) ** (-a) / a
     if spec.dim > 1:
         raise QuadratureFailure("overlap unsupported for this spec in d >= 2")

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from .errors import DimensionMismatch, EmptyMeasure
 from . import rng as _rng
@@ -29,7 +28,8 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, len(data), 4096):
-            fh.write("".join(row % tuple(r) for r in data[i:i + 4096].tolist()))
+            block = data[i:i + 4096]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,16 @@ def _w1_1d(x, wx, y, wy):
     if len(x) == len(y) and np.ptp(wx) == 0.0 and np.ptp(wy) == 0.0:
         # equal-size uniform clouds: quantile coupling is a sorted matching
         return float(np.mean(np.abs(np.sort(x) - np.sort(y))))
-    return float(wasserstein_distance(x, y, wx, wy))
+    # otherwise scipy's CDF rule: integrate |F_x - F_y| over the gaps of the
+    # merged support, each CDF divided by its cloud's total mass
+    grid = np.concatenate([x, y])
+    grid.sort(kind="mergesort")
+    cdfs = []
+    for v, w in ((x, wx), (y, wy)):
+        order = np.argsort(v)
+        cum = np.concatenate([[0.0], np.cumsum(w[order])])
+        cdfs.append(cum[v[order].searchsorted(grid[:-1], "right")] / cum[-1])
+    return float(np.abs(cdfs[0] - cdfs[1]) @ np.diff(grid))
 
 
 def w1(mu, nu):

@@ -1,8 +1,13 @@
 """Source hygiene: no module imports a name it never uses, no function
 binds a local name it never reads, no random stream is keyed by an
-integer offset, and every config field has a type the checker knows."""
+integer offset, every config field has a type the checker knows, and the
+package does not load scipy.stats (whose import alone costs more than a
+second of CLI start-up)."""
 
 import ast
+import os
+import subprocess
+import sys
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -29,6 +34,18 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mvlevy, mvlevy.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _own_stores(fn):

@@ -39,6 +39,22 @@ def test_sphere_area_values():
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gamma_factors_match_scipy(dim):
+    assert sphere_area(dim) == pytest.approx(
+        2.0 * math.pi ** (dim / 2.0) / Gamma(dim / 2.0), rel=1e-14)
+    for alpha in np.linspace(0.01, 1.99, 45):
+        ref = (alpha * 2.0 ** (alpha - 1.0) * Gamma((dim + alpha) / 2.0)
+               / (math.pi ** (dim / 2.0) * Gamma(1.0 - alpha / 2.0)))
+        assert stable_constant(dim, alpha) == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stable_constant_vanishes_at_alpha_two(dim):
+    # the pole of Gamma(1 - alpha/2): Brownian motion has no jump part
+    assert stable_constant(dim, 2.0) == 0.0
+
+
 def test_tail_moment_quadrature_oracle():
     gen = mvrng.stream(101)
     for _ in range(25):

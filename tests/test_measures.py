@@ -8,6 +8,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import wasserstein_distance
 
 from mvlevy import (
     EmpiricalMeasure,
@@ -18,6 +21,7 @@ from mvlevy import (
     w1,
     weighted_tv,
 )
+from mvlevy.measures import _w1_1d, _write_csv
 
 
 def _w1_oracle_1d(mu, nu):
@@ -110,6 +114,21 @@ class TestEmpiricalMeasure:
         assert np.array_equal(back.weights, m.weights)
 
 
+    @pytest.mark.parametrize("n", [4096, 2 * 4096, 4096 + 7, 5])
+    def test_block_format_matches_row_format(self, tmp_path, n):
+        specials = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -1e308, 0.0, -5e-324]
+        gen = np.random.default_rng(n)
+        data = gen.normal(size=(n, 3)) * 10.0 ** gen.integers(-300, 300, size=(n, 3))
+        flat = data.ravel()
+        flat[:len(specials)] = specials
+        flat[-len(specials):] = specials
+        row = "%.17g,%.17g,%.17g\r\n"
+        ref = "a,b,c\r\n" + "".join(row % tuple(r) for r in data.tolist())
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["a", "b", "c"], data)
+        assert path.read_bytes() == ref.encode()
+
+
 class TestMoment:
     def test_against_direct_sum(self):
         gen = np.random.default_rng(5)
@@ -185,6 +204,109 @@ class TestW1:
         mu = _random_measure(gen, 50, d=3)
         nu = _random_measure(gen, 60, d=3)
         assert w1(mu, nu) == w1(mu, nu)
+
+
+def _scipy_close(x, wx, y, wy):
+    ref = wasserstein_distance(x, y, wx, wy)
+    got = _w1_1d(x, wx / wx.sum(), y, wy / wy.sum())
+    assert abs(got - ref) <= 1e-12 * ref, (got, ref)
+
+
+class TestW1AgainstScipy:
+    """The weighted 1-d path against scipy.stats.wasserstein_distance."""
+
+    def test_random_unequal_sizes(self):
+        gen = np.random.default_rng(29)
+        for _ in range(200):
+            n1, n2 = gen.integers(1, 300, size=2)
+            n2 += n1 == n2
+            x = gen.normal(size=n1) * gen.uniform(0.1, 10.0)
+            y = gen.standard_cauchy(size=n2)
+            _scipy_close(x, gen.uniform(0.1, 1.0, n1), y, gen.uniform(0.1, 1.0, n2))
+
+    def test_dirac_against_cloud(self):
+        gen = np.random.default_rng(31)
+        y = gen.normal(size=1000)
+        for a in (-3.0, 0.0, float(y[17]), 2.5):
+            _scipy_close(np.array([a]), np.array([1.0]), y, gen.uniform(0.1, 1.0, 1000))
+
+    def test_ties(self):
+        gen = np.random.default_rng(37)
+        for _ in range(50):
+            x = gen.integers(-5, 6, size=200).astype(float)
+            y = gen.integers(-3, 8, size=150).astype(float)
+            _scipy_close(x, gen.uniform(0.1, 1.0, 200), y, gen.uniform(0.1, 1.0, 150))
+
+    def test_zero_weight_atoms(self):
+        gen = np.random.default_rng(41)
+        for _ in range(50):
+            x, y = gen.normal(size=80), gen.normal(size=80) + 0.3
+            wx, wy = gen.uniform(0.1, 1.0, 80), gen.uniform(0.1, 1.0, 80)
+            wx[gen.uniform(size=80) < 0.3] = 0.0
+            wy[:40] = 0.0
+            wx[0] = 1.0
+            _scipy_close(x, wx, y, wy)
+
+    def test_large_clouds(self):
+        gen = np.random.default_rng(43)
+        n = 10 ** 5
+        _scipy_close(gen.normal(size=n), gen.uniform(0.1, 1.0, n),
+                     gen.normal(0.2, 1.5, size=n // 3), gen.uniform(0.1, 1.0, n // 3))
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _weighted_clouds(draw, points=_coord, min_size=1):
+    """A 1-d measure with non-uniform weights, so w1 takes the weighted
+    path; integer weights give zero-weight atoms and exact ties in mass."""
+    n = draw(st.integers(min_size, 12))
+    pts = draw(st.lists(points, min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=float)
+    assume(w.sum() > 0 and np.ptp(w) > 0)
+    return EmpiricalMeasure(np.array(pts)[:, None], w / w.sum())
+
+
+_props = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _scale(mu):
+    return 1.0 + np.abs(mu.points).max()
+
+
+class TestW1WeightedProperties:
+    @_props
+    @given(_weighted_clouds(), _weighted_clouds())
+    def test_symmetric(self, mu, nu):
+        assert w1(mu, nu) == w1(nu, mu)
+
+    @_props
+    @given(_weighted_clouds())
+    def test_zero_on_the_diagonal(self, mu):
+        assert w1(mu, mu) == 0.0
+
+    @_props
+    @given(_weighted_clouds(), _weighted_clouds(), st.floats(-1e3, 1e3))
+    def test_translation_invariant(self, mu, nu, c):
+        tol = 1e-11 * (_scale(mu) + _scale(nu) + abs(c))
+        assert w1(mu.shifted(c), nu.shifted(c)) == pytest.approx(w1(mu, nu), abs=tol)
+
+    @_props
+    @given(_weighted_clouds(), _weighted_clouds(),
+           st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3))
+    def test_scales_with_absolute_factor(self, mu, nu, c):
+        scaled = w1(EmpiricalMeasure(c * mu.points, mu.weights),
+                    EmpiricalMeasure(c * nu.points, nu.weights))
+        tol = 1e-11 * abs(c) * (_scale(mu) + _scale(nu))
+        assert scaled == pytest.approx(abs(c) * w1(mu, nu), abs=tol)
+
+    @_props
+    @given(_weighted_clouds(points=st.just(0.0), min_size=2), _coord, _coord)
+    def test_diracs_are_their_distance(self, atoms, a, b):
+        # delta_a and delta_b as several atoms of unequal mass at one point
+        assert w1(atoms.shifted(a), atoms.shifted(b)) == pytest.approx(
+            abs(a - b), rel=1e-12)
 
 
 class TestWeightedTV:
