@@ -113,7 +113,6 @@ class TestEmpiricalMeasure:
         assert np.array_equal(back.points, m.points)
         assert np.array_equal(back.weights, m.weights)
 
-
     @pytest.mark.parametrize("n", [4096, 2 * 4096, 4096 + 7, 5])
     def test_block_format_matches_row_format(self, tmp_path, n):
         specials = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -1e308, 0.0, -5e-324]
