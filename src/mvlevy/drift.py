@@ -13,10 +13,9 @@ for the dissipativity inequality
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (DimensionMismatch, EmptyMeasure, UnsupportedFamily,
                      _check_types, _from_json, _to_json)
@@ -223,8 +222,11 @@ def _sup(fn, dim):
     fn is taken at 501 radii in [0, 50] along +-1 (d = 1) or along 256
     seeded random unit directions.  The local maxima along the rays are
     candidate starts, and the best 8 of them that lie more than 0.5 apart
-    are polished by BFGS: the spacing keeps starts that crowd one peak
-    from hiding another peak that lies between the rays.
+    are polished by a compass search: fn at x +- step on each axis, one
+    (2 dim, dim) block per trial, moving to the best trial point while it
+    improves and else halving the step, from the 0.1 ray spacing down to
+    1e-10.  The spacing keeps starts that crowd one peak from hiding
+    another peak that lies between the rays.
     """
     if dim == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -235,28 +237,35 @@ def _sup(fn, dim):
     vals = fn(X.reshape(-1, dim)).reshape(X.shape[:2])
     padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=-np.inf)
     ray, k = np.nonzero((vals >= padded[:, :-2]) & (vals >= padded[:, 2:]))
+    axes = np.concatenate((np.eye(dim), -np.eye(dim)))
     best = float(vals.max())
     starts = []
     for i in np.argsort(vals[ray, k])[::-1]:
-        x = X[ray[i], k[i]]
+        x, fx = X[ray[i], k[i]], vals[ray[i], k[i]]
         if all(np.linalg.norm(x - s) > 0.5 for s in starts):
             starts.append(x)
-            res = optimize.minimize(lambda v: -fn(v[None, :])[0], x, method="BFGS")
-            best = max(best, -float(res.fun))
+            step = 0.1
+            while step > 1e-10:
+                trial = x + step * axes
+                tv = fn(trial)
+                j = int(np.argmax(tv))
+                if tv[j] > fx:
+                    x, fx = trial[j], tv[j]
+                else:
+                    step /= 2.0
+            best = max(best, float(fx))
             if len(starts) == 8:
                 break
     return best
 
 
-def lyapunov_params(spec, beta=None, alpha=None):
-    """Known (C_b, lam1, lam2, theta) bundle for a built-in family.
+def lyapunov_exponents(spec, beta=None, alpha=None):
+    """The bundle of lyapunov_params without the sup search: C_b = 0.
 
     beta defaults to (1 + alpha)/2 for stable alpha in (1, 2), else 1.5.
-    The measure enters every family's drift through kappa (through the mean
-    for mean_field_ou), and kappa <x, mean(mu)> <= lam2 (1+|x|^2)^{theta2/2}
-    mu(|.|), so C_b is 5 percent above the supremum of the measure-free
-    residual <x, b(x, .)> + lam1 |x|^{1+theta1}, with every measure stat
-    set to zero.  The asymmetric cubic's mu(g) term adds kappa sup|g| |x|.
+    The rates lam1, lam2 and the exponents theta1, theta2 do not depend on
+    C_b, so beta_star, gamma1, gamma2 and case read the same here as on
+    the full bundle.
     """
     if beta is None:
         if alpha is not None and 1.0 < alpha < 2.0:
@@ -269,17 +278,30 @@ def lyapunov_params(spec, beta=None, alpha=None):
     else:
         lam2, theta1 = spec.kappa, 3.0
         theta2 = spec.beta if spec.family == ASYM_CUBIC else 1.0
+    return A1Params(0.0, lam1, lam2, theta1, theta2, 1.0, 1.0, beta)
+
+
+def lyapunov_params(spec, beta=None, alpha=None):
+    """Known (C_b, lam1, lam2, theta) bundle for a built-in family.
+
+    The rates and exponents come from lyapunov_exponents.  The measure
+    enters every family's drift through kappa (through the mean for
+    mean_field_ou), and kappa <x, mean(mu)> <= lam2 (1+|x|^2)^{theta2/2}
+    mu(|.|), so C_b is 5 percent above the supremum of the measure-free
+    residual <x, b(x, .)> + lam1 |x|^{1+theta1}, with every measure stat
+    set to zero.  The asymmetric cubic's mu(g) term adds kappa sup|g| |x|.
+    """
+    p = lyapunov_exponents(spec, beta, alpha)
     g_term = spec.kappa * spec.g_sup if spec.family == ASYM_CUBIC else 0.0
     field = field_closure(spec, {"mean": np.zeros(spec.dim), "abs_moment": 0.0,
                                  "g_moment": 0.0})
 
     def resid(X):
         nx2 = np.sum(X * X, axis=1)
-        return (np.sum(X * field(X), axis=1) + lam1 * nx2 ** ((1.0 + theta1) / 2.0)
+        return (np.sum(X * field(X), axis=1) + p.lam1 * nx2 ** ((1.0 + p.theta1) / 2.0)
                 + g_term * np.sqrt(nx2))
 
-    C_b = max(_sup(resid, spec.dim) * 1.05, 1e-9)
-    return A1Params(C_b, lam1, lam2, theta1, theta2, 1.0, 1.0, beta)
+    return replace(p, C_b=max(_sup(resid, spec.dim) * 1.05, 1e-9))
 
 
 def verify_E12(spec, params, grid, mus):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import lyapunov_params
+from .drift import lyapunov_exponents
 from .errors import MvLevyError, NoiseFloorExceedsTol, _check_types
 from .measures import EmpiricalMeasure, concentration, moment, w1
 from .simulate import SimConfig, frozen_trajectory
@@ -68,14 +68,15 @@ def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, key=(),
     Every iteration runs on seed cfg.sim.seed: iteration it is the frozen
     run with key (*key, it), so distinct seeds, replica keys and iterations
     draw from distinct streams.  beta_star defaults to the drift family's
-    Lyapunov exponent; the report records the final measure's beta_star-th
-    moment.  The noise floor is the split-chain floor of the last frozen run
+    Lyapunov exponent, read from lyapunov_exponents without the sup search
+    for C_b; the report records the final measure's beta_star-th moment.
+    The noise floor is the split-chain floor of the last frozen run
     (the occupation measure, not the damped mixture), so it costs no run of
     its own.  Raises NoiseFloorExceedsTol when the tolerance undercuts that
     floor (the configuration cannot certify convergence).
     """
     if beta_star is None:
-        beta_star = lyapunov_params(drift, alpha=levy.alpha).beta_star
+        beta_star = lyapunov_exponents(drift, alpha=levy.alpha).beta_star
     mu = mu0
     history = []
     converged = False

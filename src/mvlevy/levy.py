@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DivergentMoment,
@@ -171,12 +170,15 @@ def tail_moment(spec, p, region, l):
     if p < 0:
         raise ValueError("p must be nonnegative")
     if spec.kind == COMPOUND:
-        if region == BALL:
-            val, _ = integrate.quad(lambda r: r ** p * spec.radial_density(r), 0.0, l)
-        else:
-            val, _ = integrate.quad(lambda r: r ** p * spec.radial_density(r),
-                                    l, np.inf)
-        return val
+        from scipy import integrate
+
+        # integrate over the radial support only: quadrature on [l, inf)
+        # can step over a narrow uniform law and return 0
+        lo, hi = spec.jump_dist[1:] if spec.jump_dist[0] == "uniform" else (0.0, np.inf)
+        a, b = (lo, min(l, hi)) if region == BALL else (max(l, lo), hi)
+        if a >= b:
+            return 0.0
+        return integrate.quad(lambda r: r ** p * spec.radial_density(r), a, b)[0]
     if spec.alpha >= 2.0:
         return 0.0
     a = spec.alpha
@@ -233,6 +235,7 @@ def overlap_mass(spec, x):
         return 2.0 * spec.density_constant * A * (r / 2.0) ** (-a) / a
     if spec.dim > 1:
         raise QuadratureFailure("overlap unsupported for this spec in d >= 2")
+    from scipy import integrate
 
     def integrand(z):
         return min(float(spec.levy_density([z])[0]),

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import GridTooCoarse, NoTransition, QuadratureFailure
 
@@ -57,28 +56,61 @@ def _support(case, m):
     return float(keep.min() - pad), float(keep.max() + pad), float(fmax)
 
 
+def _gl_rule(panels):
+    """Nodes and weights on [0, 1] of the composite rule with GL_NODES
+    Gauss-Legendre nodes on each of `panels` equal panels."""
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    left = np.arange(panels)[:, None] / panels
+    return (left + (x + 1.0) / (2.0 * panels)).ravel(), np.tile(w / (2.0 * panels), panels)
+
+
+# The rule behind h_fn and stationary_density: GL_PANELS panels on each
+# side of m (coarse) against 2 GL_PANELS (fine), GL_NODES nodes per panel.
+# Against adaptive quadrature this agreed within 3.5e-12 of the mass for
+# gamma in [0.5, 4], beta in [0.001, 100] and |m| <= 6; with 8 panels the
+# bimodal density at (gamma, beta, m) = (0.5, 50, -6) failed its own check.
+GL_NODES = 24
+GL_PANELS = 16
+_COARSE, _FINE = _gl_rule(GL_PANELS), _gl_rule(2 * GL_PANELS)
+_RULE_X = np.concatenate((_COARSE[0], _FINE[0]))
+_RULE_W = np.zeros((_RULE_X.size, 2))  # column 0 coarse, column 1 fine
+_RULE_W[:_COARSE[0].size, 0] = _COARSE[1]
+_RULE_W[_COARSE[0].size:, 1] = _FINE[1]
+
+
+def _moments(case, m, lo, hi, fmax):
+    """(int (x - m) p, int p) over [lo, hi] for p = exp(exponent - fmax).
+
+    The composite Gauss-Legendre rule splits [lo, hi] at m, where (x - m)
+    changes sign, and both sums come from the same exp evaluations.  The
+    fine rule's value is returned; its difference from the coarse rule
+    bounds the error, and an error above 1e-8 of the mass raises
+    QuadratureFailure.
+    """
+    c = min(max(m, lo), hi)
+    x = np.concatenate((lo + (c - lo) * _RULE_X, c + (hi - c) * _RULE_X))
+    w = np.concatenate(((c - lo) * _RULE_W, (hi - c) * _RULE_W))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        p = np.exp(case.exponent(x, m) - fmax)
+        (h_c, h_f), (mass_c, mass) = np.stack(((x - m) * p, p)) @ w
+    if not (mass > 0 and math.isfinite(mass) and math.isfinite(h_f)):
+        raise QuadratureFailure("degenerate normalizing mass")
+    err = max(abs(h_f - h_c), abs(mass - mass_c))
+    if not err <= 1e-8 * mass:
+        raise QuadratureFailure(f"quadrature error {err:g} too large")
+    return float(h_f), float(mass)
+
+
 def h_fn(case, m):
     """int (x - m) exp(gamma m x - x^4 + beta x^2 - fmax) dx.
 
     The exponent is shifted by its max for stable quadrature; the shift
     rescales h by a positive constant and leaves its roots and signs alone.
+    The integral is the composite Gauss-Legendre rule of _moments over the
+    support, split at m, and raises QuadratureFailure when its error
+    estimate exceeds 1e-8 of the mass.
     """
-    lo, hi, fmax = _support(case, m)
-
-    def num(x):
-        return (x - m) * np.exp(case.exponent(x, m) - fmax)
-
-    # split at the sign change of (x - m) so the near-cancellation there
-    # does not inflate the error estimate
-    pts = [m] if lo < m < hi else None
-    val, err = integrate.quad(num, lo, hi, limit=400, epsabs=1e-12,
-                              epsrel=1e-11, points=pts)
-    mass, _ = integrate.quad(lambda x: np.exp(case.exponent(x, m) - fmax), lo, hi, limit=200)
-    if mass <= 0 or not np.isfinite(val):
-        raise QuadratureFailure("degenerate normalizing mass")
-    if err > 1e-8 * mass:
-        raise QuadratureFailure(f"quadrature error {err:g} too large")
-    return float(val)
+    return _moments(case, m, *_support(case, m))[0]
 
 
 # m-rows per block of _h_scan.  On a 2-core Xeon, 8 to 64 rows ran the
@@ -144,7 +176,9 @@ def root_count(case, m_max, grid_n, refine=True):
             continue
         if hs[i] * hs[i + 1] < 0.0:
             if refine:
-                r = optimize.brentq(lambda m: h_fn(case, m), ms[i], ms[i + 1], xtol=1e-8)
+                from scipy.optimize import brentq
+
+                r = brentq(lambda m: h_fn(case, m), ms[i], ms[i + 1], xtol=1e-8)
             else:
                 r = ms[i] - hs[i] * (ms[i + 1] - ms[i]) / (hs[i + 1] - hs[i])
             roots.append(float(r))
@@ -225,8 +259,4 @@ def stationary_density(case, m, grid):
     lo, hi, fmax = _support(case, m)
     if grid.min() > lo or grid.max() < hi:
         raise QuadratureFailure("grid does not cover the effective support")
-    mass, _ = integrate.quad(lambda x: np.exp(case.exponent(x, m) - fmax),
-                             lo, hi, limit=200)
-    if mass <= 0:
-        raise QuadratureFailure("degenerate normalizing mass")
-    return np.exp(case.exponent(grid, m) - fmax) / mass
+    return np.exp(case.exponent(grid, m) - fmax) / _moments(case, m, lo, hi, fmax)[1]

@@ -1,5 +1,7 @@
 """Tests for the drift families, their closures, and the Lyapunov bundles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from mvlevy import (
     lyapunov_params,
     verify_E12,
 )
-from mvlevy.drift import affine_coefficients, field_closure, measure_stats
+from mvlevy import drift
+from mvlevy.drift import (affine_coefficients, field_closure, lyapunov_exponents,
+                          measure_stats)
 
 
 def _uniform_cloud(gen, n, d=1, scale=1.0):
@@ -282,8 +286,6 @@ class TestLyapunovParams:
         assert rep["ok"], rep["worst_slack"]
 
     def test_inflated_rate_fails(self):
-        from dataclasses import replace
-
         spec = DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0)
         p = lyapunov_params(spec, beta=1.5)
         bad = replace(p, lam1=p.lam1 * 50.0)
@@ -291,6 +293,58 @@ class TestLyapunovParams:
         rep = verify_E12(spec, bad, grid, [EmpiricalMeasure.dirac(0.0)])
         assert not rep["ok"]
         assert rep["worst_slack"] < 0.0
+
+
+SPECS = {
+    "double_well": DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0),
+    "asymmetric_cubic": DriftSpec("asymmetric_cubic", lam=1.0, kappa=0.05, beta=1.2,
+                                  g_kind="tanh_scaled", g_params=(0.5, 1.0)),
+    "mean_field_ou": DriftSpec("mean_field_ou", lam=2.0),
+    "two_well_d1": DriftSpec("symmetric_two_well", lam=1.0, kappa=0.2,
+                             y1=(1.0,), y2=(-1.0,)),
+    "two_well_d2": DriftSpec("symmetric_two_well", lam=1.0, kappa=0.2,
+                             y1=(1.0, 1.0), y2=(-1.0, -0.5)),
+    "two_well_d3": DriftSpec("symmetric_two_well", lam=1.0, kappa=0.0,
+                             y1=(2.0, 0.0, 0.0), y2=(0.0, 0.0, 0.0)),
+}
+
+
+class TestLyapunovExponents:
+    @pytest.mark.parametrize("alpha", [None, 1.2, 1.8, 2.0])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_is_the_bundle_without_C_b(self, name, alpha):
+        spec = SPECS[name]
+        full = lyapunov_params(spec, alpha=alpha)
+        assert lyapunov_exponents(spec, alpha=alpha) == replace(full, C_b=0.0)
+        assert lyapunov_exponents(spec, alpha=alpha).beta_star == full.beta_star
+
+    def test_skips_the_sup_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(drift, "_sup", lambda *a: calls.append(a))
+        lyapunov_exponents(SPECS["double_well"], alpha=1.8)
+        assert calls == []
+
+
+def _bfgs_sup(fn, dim):
+    """Reference supremum: the best of BFGS runs started from every point
+    of a grid on [-6, 6]^dim."""
+    from scipy import optimize
+
+    axis = np.linspace(-6.0, 6.0, {1: 25, 2: 13, 3: 7}[dim])
+    starts = np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim)
+    return max(-optimize.minimize(lambda v: -fn(v[None, :])[0], x, method="BFGS").fun
+               for x in starts)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_C_b_matches_bfgs_reference(monkeypatch, name):
+    # the residual lyapunov_params hands to _sup, polished by BFGS instead
+    seen = []
+    sup = drift._sup
+    monkeypatch.setattr(drift, "_sup", lambda fn, dim: seen.append((fn, dim)) or sup(fn, dim))
+    C_b = lyapunov_params(SPECS[name], beta=1.5).C_b
+    (fn, dim), = seen
+    assert C_b == pytest.approx(max(1.05 * _bfgs_sup(fn, dim), 1e-9), rel=1e-9)
 
 
 _coef = st.floats(0.2, 3.0)

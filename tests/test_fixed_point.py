@@ -23,11 +23,13 @@ from mvlevy import (
     SimConfig,
     invariance_check,
     iterate_lambda,
+    lyapunov_params,
     m_star,
+    moment,
     multiplicity_search,
     w1,
 )
-from mvlevy import fixed_point, simulate
+from mvlevy import drift, fixed_point, simulate
 from mvlevy import rng as mvrng
 from mvlevy.simulate import OccupationMeasure, frozen_trajectory
 
@@ -64,6 +66,19 @@ class TestIterateLambda:
         assert abs(rep.final.mean()[0] + 1.0) < 0.05
         assert rep.noise_floor < 0.05
         assert rep.moment_beta_star > 0
+
+    def test_default_beta_star_skips_the_sup_search(self, monkeypatch):
+        # beta_star does not depend on C_b, so no supremum is searched for
+        calls = []
+        sup = drift._sup
+        monkeypatch.setattr(drift, "_sup", lambda *a: calls.append(a) or sup(*a))
+        cfg = FixedPointConfig(max_iter=2, w1_tol=0.05, sim=SIM)
+        rep = iterate_lambda(DW, LevyMeasureSpec(alpha=1.8, scale=0.1),
+                             EmpiricalMeasure.dirac(1.0), cfg)
+        assert calls == []
+        beta_star = lyapunov_params(DW, alpha=1.8).beta_star
+        assert len(calls) == 1
+        assert rep.moment_beta_star == moment(rep.final, beta_star)
 
     def test_independent_of_initial_measure(self):
         cfg = FixedPointConfig(max_iter=4, w1_tol=0.05, sim=SIM)

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no function
 binds a local name it never reads, no random stream is keyed by an
-integer offset, every config field has a type the checker knows, and the
-package does not load scipy.stats (whose import alone costs more than a
-second of CLI start-up)."""
+integer offset, every config field has a type the checker knows, and
+neither the CLI import nor the benchmarked commands load a scipy
+submodule (scipy.integrate, scipy.optimize and scipy.stats each cost
+most of a second of CLI start-up)."""
 
 import ast
 import os
@@ -36,16 +37,44 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def _scipy_modules_after(code, tmp_path=None):
+    """The scipy submodules loaded after running code in a fresh interpreter
+    that imports mvlevy from src/; code may print nothing."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mvlevy, mvlevy.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+         f"import sys, mvlevy, mvlevy.cli\n{code}\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # nor scipy.integrate or scipy.optimize: no scipy submodule at all
+    assert _scipy_modules_after("") == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixpoint", "--set", 'levy={"alpha": 2.0}',
+     "--set", 'drift={"family": "mean_field_ou", "lam": 2.0}',
+     "--set", 'sim={"dt": 0.002, "T": 2.0, "n_chains": 200, "thin": 10, "seed": 3}',
+     "--set", 'fixed_point={"max_iter": 3, "w1_tol": 0.3}'],
+    ["multiplicity", "--set", 'levy={"alpha": 1.8, "scale": 0.05}',
+     "--set", 'drift={"family": "double_well", "lam": 1.0, "kappa": 1.0, '
+              '"a1": -1.0, "a2": 1.0}',
+     "--set", 'sim={"dt": 0.002, "T": 2.0, "n_chains": 50, "thin": 10, "seed": 3}',
+     "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.3}',
+     "--set", "seeds=[[-1.0], [1.0]]"],
+    ["selfconsistent", "--gamma", "2", "--beta", "1"],
+], ids=["fixpoint", "multiplicity", "selfconsistent"])
+def test_cli_commands_load_no_scipy_submodule(tmp_path, argv):
+    # the benchmarked commands: every scipy use they had (BFGS in the C_b
+    # search, adaptive quadrature in h_fn) is numpy now
+    code = f"assert mvlevy.cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0"
+    assert _scipy_modules_after(code, tmp_path) == "[]"
 
 
 def _own_stores(fn):

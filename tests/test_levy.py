@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma as Gamma
 from scipy.stats import ks_2samp
@@ -82,6 +84,47 @@ def test_tail_moment_annulus_additivity():
         far = tail_moment(spec, p, COMPLEMENT, 4.0)
         annulus = tail_moment(trunc, p, COMPLEMENT, 1.0)
         assert abs((whole - far) - annulus) < 1e-10
+
+
+def _compound_total_moment(spec, p):
+    """nu(|.|^p) of a compound spec in closed form: rate E|jump|^p."""
+    name, *params = spec.jump_dist
+    if name == "gaussian":
+        (std,), d = params, spec.dim
+        return (spec.rate * std ** p * 2.0 ** (p / 2.0) * math.gamma((d + p) / 2.0)
+                / math.gamma(d / 2.0))
+    lo, hi = params
+    return spec.rate * (hi ** (p + 1.0) - lo ** (p + 1.0)) / ((p + 1.0) * (hi - lo))
+
+
+@st.composite
+def _compound_specs(draw):
+    rate = draw(st.floats(0.1, 5.0))
+    if draw(st.booleans()):
+        return LevyMeasureSpec(kind="compound_poisson", rate=rate, dim=draw(st.integers(1, 3)),
+                               jump_dist=("gaussian", draw(st.floats(0.1, 3.0))))
+    lo = draw(st.floats(0.0, 2.0))
+    return LevyMeasureSpec(kind="compound_poisson", rate=rate,
+                           jump_dist=("uniform", lo, lo + draw(st.floats(0.1, 3.0))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_compound_specs(), st.floats(0.0, 3.0), st.floats(0.05, 6.0))
+def test_compound_ball_plus_complement_is_the_whole_moment(spec, p, l):
+    whole = tail_moment(spec, p, BALL, l) + tail_moment(spec, p, COMPLEMENT, l)
+    assert whole == pytest.approx(_compound_total_moment(spec, p), rel=1e-7)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(0.3, 1.9), st.floats(0.05, 2.0), st.floats(0.2, 5.0),
+       st.floats(0.02, 2.0), st.integers(1, 3))
+def test_truncated_ball_plus_complement_is_the_whole_moment(alpha, dp, cutoff, frac, dim):
+    # the truncated measure lives on |z| <= cutoff: the ball of that radius
+    # holds the whole moment, wherever the split radius l falls
+    spec = LevyMeasureSpec(kind="truncated_stable", alpha=alpha, dim=dim, cutoff=cutoff)
+    p, l = alpha + dp, frac * cutoff
+    whole = tail_moment(spec, p, BALL, l) + tail_moment(spec, p, COMPLEMENT, l)
+    assert whole == pytest.approx(tail_moment(spec, p, BALL, cutoff), rel=1e-12)
 
 
 def test_tail_moment_scale_covariance():
@@ -275,6 +318,32 @@ def test_sigma_integral_inverse_matches_quadrature():
                                  points=[k for k, _ in sig.knots if 0.0 < k < r],
                                  limit=200)
         assert sig.integral_inverse(r) == pytest.approx(want, rel=1e-10)
+
+
+@st.composite
+def _sigma_specs(draw):
+    """Positive, non-decreasing, concave piecewise-linear profiles."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    slopes = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1, max_size=n - 1)),
+                    reverse=True)
+    r, v = draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 2.0))
+    knots = [(r, v)]
+    for gap, slope in zip(gaps, slopes):
+        r, v = r + gap, v + slope * gap
+        knots.append((r, v))
+    return SigmaSpec(tuple(knots))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_sigma_specs(), st.floats(0.0, 1.0))
+def test_sigma_integral_inverse_matches_quadrature_property(sig, frac):
+    r0, r1 = sig.knots[0][0], sig.knots[-1][0]
+    r = r0 + frac * (r1 - r0)
+    want, _ = integrate.quad(lambda s: 1.0 / float(sig(s)), r0, r,
+                             points=[k for k, _ in sig.knots if r0 < k < r] or None,
+                             limit=200, epsabs=1e-13, epsrel=1e-12)
+    assert sig.integral_inverse(r) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_sigma_domination_check():

@@ -31,6 +31,24 @@ def _h_scan_whole_matrix(case, ms):
     return np.trapezoid((xs[None, :] - ms[:, None]) * dens, xs, axis=1)
 
 
+def _quad_reference(case, m):
+    """(h, mass) by adaptive quadrature over h_fn's support, with the
+    density's modes and m as break points."""
+    from scipy import integrate
+
+    lo, hi, fmax = _support(case, m)
+    modes = np.roots([4.0, 0.0, -2.0 * case.beta, -case.gamma * m])
+    pts = sorted({float(x.real) for x in modes if abs(x.imag) < 1e-9} | {m})
+    pts = [x for x in pts if lo < x < hi] or None
+
+    def quad(fn):
+        return integrate.quad(lambda x: fn(x) * np.exp(case.exponent(x, m) - fmax),
+                              lo, hi, points=pts, limit=1000, epsabs=1e-12,
+                              epsrel=1e-12)[0]
+
+    return quad(lambda x: x - m), quad(lambda x: 1.0)
+
+
 def _m_max(beta):
     return max(6.0, 1.6 * np.sqrt(max(beta, 1.0)))
 
@@ -68,6 +86,40 @@ class TestHFunction:
     def test_non_finite_or_negative(self, gamma, beta):
         with pytest.raises(ValueError, match="gamma" if beta == 1.0 else "beta"):
             GradientCase(gamma, beta)
+
+
+class TestQuadrature:
+    # beta = 50 is bimodal: at gamma = 0.5, m = -6 a rule of 8 panels per
+    # side failed its own error check
+    @pytest.mark.parametrize("beta", [0.001, 0.5, 0.91, 3.0, 50.0, 100.0])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0, 4.0])
+    def test_h_fn_matches_adaptive_quadrature(self, gamma, beta):
+        case = GradientCase(gamma, beta)
+        for m in np.linspace(-6.0, 6.0, 25):
+            h, mass = _quad_reference(case, m)
+            assert abs(h_fn(case, m) - h) <= 1e-10 * mass, m
+
+    @pytest.mark.parametrize("gamma, beta, m", [(2.0, 3.0, 1.2), (0.5, 50.0, -6.0),
+                                                (4.0, 0.001, 0.3)])
+    def test_stationary_density_matches_adaptive_quadrature(self, gamma, beta, m):
+        case = GradientCase(gamma, beta)
+        lo, hi, fmax = _support(case, m)
+        grid = np.linspace(lo, hi, 2001)
+        want = np.exp(case.exponent(grid, m) - fmax) / _quad_reference(case, m)[1]
+        assert np.allclose(stationary_density(case, m, grid), want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("beta", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("m", [0.0, 0.3, 5.0])
+    def test_peaked_density_raises_or_agrees(self, beta, m):
+        # peaks of width beta^-1/2 that the support grid and the panels may
+        # not resolve: a value that comes back is right, else it raises
+        case = GradientCase(2.0, beta)
+        try:
+            got = h_fn(case, m)
+        except QuadratureFailure:
+            return
+        h, mass = _quad_reference(case, m)
+        assert abs(got - h) <= 1e-8 * mass
 
 
 class TestRootCount:
