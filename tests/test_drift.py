@@ -318,12 +318,6 @@ class TestLyapunovExponents:
         assert lyapunov_exponents(spec, alpha=alpha) == replace(full, C_b=0.0)
         assert lyapunov_exponents(spec, alpha=alpha).beta_star == full.beta_star
 
-    def test_skips_the_sup_search(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(drift, "_sup", lambda *a: calls.append(a))
-        lyapunov_exponents(SPECS["double_well"], alpha=1.8)
-        assert calls == []
-
 
 def _bfgs_sup(fn, dim):
     """Reference supremum: the best of BFGS runs started from every point

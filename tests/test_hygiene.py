@@ -39,7 +39,7 @@ def test_no_unused_imports(path):
 
 def _scipy_modules_after(code, tmp_path=None):
     """The scipy submodules loaded after running code in a fresh interpreter
-    that imports mvlevy from src/; code may print nothing."""
+    that imports mvlevy from src/; code must not print."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
                                                       env.get("PYTHONPATH")]))
@@ -71,10 +71,17 @@ def test_cli_import_does_not_load_scipy_stats():
     ["selfconsistent", "--gamma", "2", "--beta", "1"],
 ], ids=["fixpoint", "multiplicity", "selfconsistent"])
 def test_cli_commands_load_no_scipy_submodule(tmp_path, argv):
-    # the benchmarked commands: every scipy use they had (BFGS in the C_b
-    # search, adaptive quadrature in h_fn) is numpy now
+    # the commands the benchmark runs: beta_star in fixpoint and
+    # multiplicity, h_fn in selfconsistent --beta
     code = f"assert mvlevy.cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0"
     assert _scipy_modules_after(code, tmp_path) == "[]"
+
+
+def test_C_b_search_loads_no_scipy_submodule():
+    # the double-well benchmark takes M_star from lyapunov_params
+    assert _scipy_modules_after(
+        "mvlevy.lyapunov_params(mvlevy.DriftSpec('double_well', lam=1.0, kappa=4.5, "
+        "a1=-1.0, a2=1.0), beta=1.5)") == "[]"
 
 
 def _own_stores(fn):
