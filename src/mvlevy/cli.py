@@ -198,15 +198,12 @@ def cmd_selfconsistent(args, cfg, out):
               (12.0 - gamma ** 2) / (2.0 * gamma) if gamma < selfconsistent.GAMMA_C else 0.0}
     if args.beta_scan:
         lo, hi, step = (float(v) for v in args.beta_scan.split(":"))
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and step > 0):
-            raise ValueError(f"--beta-scan {args.beta_scan}: need LO <= HI, STEP > 0")
-        betas = np.arange(lo, hi + 1e-12, step)
-        rows = []
-        for b in betas:
-            case = selfconsistent.GradientCase(gamma, float(b))
-            rc = selfconsistent.root_count(case, max(6.0, 1.6 * math.sqrt(max(b, 1.0))),
-                                           1000, refine=False)
-            rows.append((b, rc["count"]))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and step > 0
+                and (hi + 1e-12 - lo) / step <= 1e5):
+            raise ValueError(f"--beta-scan {args.beta_scan}: need LO <= HI, STEP > 0 "
+                             "and at most 100000 points")
+        rows = [(b, selfconsistent._count_at(gamma, float(b)))
+                for b in np.arange(lo, hi + 1e-12, step)]
         _write_csv(os.path.join(out, "beta_scan.csv"), ["beta", "root_count"], rows)
         report["beta_scan"] = {str(float(b)): int(c) for b, c in rows}
     else:

@@ -122,7 +122,7 @@ class CaseViolation(MvLevyError):
 
 
 class QuadratureFailure(MvLevyError):
-    """Adaptive quadrature failed to reach its tolerance."""
+    """An integral could not be evaluated to its tolerance, or at all."""
 
 
 class GridTooCoarse(MvLevyError):

@@ -113,51 +113,44 @@ def h_fn(case, m):
     return _moments(case, m, *_support(case, m))[0]
 
 
-# m-rows per block of _h_scan.  On a 2-core Xeon, 8 to 64 rows ran the
-# selfconsistent sweep within noise (about 2 s); the peak RSS grows with the
-# block (101 MB at 8 rows, 104 MB at 64).  The one block buffer is reused:
-# fresh block temporaries are returned to the OS and faulted in again (31000
-# page faults per 1000-row scan; selfconsistent_sweep 5.1 -> 11.8 s).
+# m-rows per block of _h_scan; each block temporary holds SCAN_BLOCK x 768
+# floats (49 KB at 8 rows).
 SCAN_BLOCK = 8
 
 
 def _h_scan(case, m_max, grid_n):
-    """(ms, hs): h on ms = linspace(-m_max, m_max, grid_n) by a shared dense
-    trapezoid rule; enough for sign scanning, and roots are refined by h_fn.
+    """(ms, hs): hs = mean - m of the candidate density at each m of
+    ms = linspace(-m_max, m_max, grid_n), a positive multiple of h(m);
+    enough for sign scanning, and roots are refined by h_fn.
 
     h(-m) = -h(m), as the exponent is unchanged under (x, m) -> (-x, -m):
     only the upper half ms[grid_n // 2:] is integrated, and the lower half
-    of ms and hs is its negated mirror.  Per row h(m) = S1 - m S0, with
-    S_k = sum_j t_j x_j^k exp(e_j - max e) and t the trapezoid weights, so a
-    block of SCAN_BLOCK rows is summed by one matrix product with [t x, t];
-    memory does not grow with grid_n.
+    of ms and hs is its negated mirror.  Every row uses the nodes and
+    weights of _moments' fine rule on the union of the supports at
+    +-m_max.  Per row hs = S1 / S0 - m, with S_k = sum_j w_j x_j^k
+    exp(e_j - max e), so a block of SCAN_BLOCK rows is summed by one
+    matrix product with [w x, w]; memory does not grow with grid_n.
     """
     half = np.linspace(-m_max, m_max, grid_n)[grid_n // 2:]
     half[:grid_n % 2] = 0.0  # an odd grid's middle row; linspace can miss 0
     lo, hi, _ = _support(case, m_max)
     lo2, hi2, _ = _support(case, -m_max)
-    xs = np.linspace(min(lo, lo2), max(hi, hi2), 6001)
+    lo, hi = min(lo, lo2), max(hi, hi2)
+    xs, w = lo + (hi - lo) * _FINE[0], (hi - lo) * _FINE[1]
     f = case.beta * xs ** 2 - xs ** 4
-    t = np.gradient(xs)  # (x[j+1] - x[j-1]) / 2 inside, x[1] - x[0] at the ends
-    t[[0, -1]] /= 2.0
-    weights = np.column_stack((t * xs, t))
+    weights = np.column_stack((w * xs, w))
     sums = np.empty((half.size, 2))
-    rows = np.empty((SCAN_BLOCK, xs.size))
     for i in range(0, half.size, SCAN_BLOCK):
-        m = half[i:i + SCAN_BLOCK, None]
-        e = rows[:len(m)]
-        np.multiply(case.gamma * m, xs, out=e)
-        e += f
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        np.matmul(e, weights, out=sums[i:i + len(m)])
-    hs = sums[:, 0] - half * sums[:, 1]
+        e = case.gamma * half[i:i + SCAN_BLOCK, None] * xs + f
+        sums[i:i + len(e)] = np.exp(e - e.max(axis=1, keepdims=True)) @ weights
+    hs = sums[:, 0] / sums[:, 1] - half
     return (np.concatenate((-half[::-1][:grid_n // 2], half)),
             np.concatenate((-hs[::-1][:grid_n // 2], hs)))
 
 
 def root_count(case, m_max, grid_n, refine=True):
-    """Sign-change scan of h on [-m_max, m_max] refined by bisection.
+    """Sign-change scan of h on [-m_max, m_max]; each root is refined by
+    Brent's method on h_fn, or with refine=False interpolated linearly.
 
     Tangential near-zeros without a sign flip are reported separately and
     not counted.

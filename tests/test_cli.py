@@ -219,6 +219,15 @@ class TestSelfConsistent:
         counts = [int(float(l.split(",")[1])) for l in lines[1:]]
         assert counts == [1, 3]
 
+    def test_beta_scan_near_transition(self, tmp_path):
+        # on a fixed 1000-point grid the roots at beta = 0.911 sit within
+        # three cells of each other and the scan raised GridTooCoarse
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "2", "--beta-scan", "0.905:0.915:0.002",
+                     "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert list(rep["beta_scan"].values()) == [1, 1, 1, 3, 3, 3]
+
     def test_supercritical_gamma(self, tmp_path):
         out = tmp_path / "o"
         assert main(["selfconsistent", "--gamma", "4.0", "--out", str(out)]) == 0
@@ -257,7 +266,8 @@ class TestSelfConsistent:
         assert "beta must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["0.5:3.0:0", "0.5:3.0:-0.5", "3.0:0.5:0.5",
-                                      "0.5:3.0:nan", "nan:3.0:0.5", "0.5:inf:0.5"])
+                                      "0.5:3.0:nan", "nan:3.0:0.5", "0.5:inf:0.5",
+                                      "0:1:1e-12", "0:1:5e-324"])
     def test_bad_beta_scan_is_validation_error(self, tmp_path, capsys, spec):
         assert main(["selfconsistent", "--gamma", "2.0", "--beta-scan", spec,
                      "--out", str(tmp_path / "o")]) == 2

@@ -231,6 +231,18 @@ def test_sampler_self_similarity():
     assert ks_2samp(a, b).pvalue > 0.01
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(st.floats(0.3, 1.99), st.just(2.0)), st.floats(0.1, 5.0),
+       st.sampled_from([1, 2]), st.floats(1e-4, 10.0), st.integers(0, 2 ** 40))
+def test_sampler_scales_exactly_with_dt(alpha, scale, dim, dt, seed):
+    # on one stream a window of length dt is dt^{1/alpha} times the unit
+    # window: the stable increments are self-similar, sqrt(dt) at alpha = 2
+    spec = LevyMeasureSpec(alpha=alpha, scale=scale, dim=dim)
+    a = sample_increment(spec, dt, mvrng.stream(seed), size=64)
+    b = sample_increment(spec, 1.0, mvrng.stream(seed), size=64)
+    assert np.allclose(a, dt ** (1.0 / alpha) * b, rtol=1e-12, atol=0.0)
+
+
 def test_stream_key_words():
     def draws(*words):
         seq = np.random.SeedSequence(list(words))

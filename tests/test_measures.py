@@ -257,14 +257,14 @@ _coord = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 @st.composite
-def _weighted_clouds(draw, points=_coord, min_size=1):
-    """A 1-d measure with non-uniform weights, so w1 takes the weighted
-    path; integer weights give zero-weight atoms and exact ties in mass."""
+def _weighted_clouds(draw, points=_coord, min_size=1, dim=1):
+    """A measure with non-uniform weights, so w1 takes the weighted path;
+    integer weights give zero-weight atoms and exact ties in mass."""
     n = draw(st.integers(min_size, 12))
-    pts = draw(st.lists(points, min_size=n, max_size=n))
+    pts = draw(st.lists(points, min_size=n * dim, max_size=n * dim))
     w = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=float)
     assume(w.sum() > 0 and np.ptp(w) > 0)
-    return EmpiricalMeasure(np.array(pts)[:, None], w / w.sum())
+    return EmpiricalMeasure(np.reshape(pts, (n, dim)), w / w.sum())
 
 
 _props = settings(derandomize=True, max_examples=150, deadline=None)
@@ -299,6 +299,19 @@ class TestW1WeightedProperties:
                     EmpiricalMeasure(c * nu.points, nu.weights))
         tol = 1e-11 * abs(c) * (_scale(mu) + _scale(nu))
         assert scaled == pytest.approx(abs(c) * w1(mu, nu), abs=tol)
+
+    @_props
+    @given(_weighted_clouds(), _weighted_clouds(), _weighted_clouds())
+    def test_triangle_inequality(self, a, b, c):
+        tol = 1e-11 * (_scale(a) + _scale(b) + _scale(c))
+        assert w1(a, c) <= w1(a, b) + w1(b, c) + tol
+
+    @_props
+    @given(_weighted_clouds(dim=2), _weighted_clouds(dim=2), _weighted_clouds(dim=2))
+    def test_sliced_triangle_inequality(self, a, b, c):
+        # each of the fixed directions is a 1-d W1, so their mean is a metric
+        tol = 1e-11 * (_scale(a) + _scale(b) + _scale(c))
+        assert w1(a, c) <= w1(a, b) + w1(b, c) + tol
 
     @_props
     @given(_weighted_clouds(points=st.just(0.0), min_size=2), _coord, _coord)

@@ -16,19 +16,14 @@ from mvlevy import (
     stationary_density,
 )
 from mvlevy import selfconsistent
-from mvlevy.selfconsistent import GAMMA_C, BetaCResult, GradientCase, _h_scan, _support
+from mvlevy.selfconsistent import (GAMMA_C, BetaCResult, GradientCase, _h_scan, _moments,
+                                   _support)
 
 
-def _h_scan_whole_matrix(case, ms):
-    """The whole-matrix trapezoid rule that the blocked scan approximates."""
-    m_abs = float(np.abs(ms).max())
-    lo, hi, _ = _support(case, m_abs)
-    lo2, hi2, _ = _support(case, -m_abs)
-    xs = np.linspace(min(lo, lo2), max(hi, hi2), 6001)
-    expo = case.gamma * np.outer(ms, xs) - xs ** 4 + case.beta * xs ** 2
-    expo -= expo.max(axis=1, keepdims=True)
-    dens = np.exp(expo)
-    return np.trapezoid((xs[None, :] - ms[:, None]) * dens, xs, axis=1)
+def _h_rows_reference(case, ms):
+    """h / mass = mean - m at each m, by _moments on the row's own support."""
+    rows = [_moments(case, m, *_support(case, m)) for m in ms]
+    return np.array([h / mass for h, mass in rows])
 
 
 def _quad_reference(case, m):
@@ -172,10 +167,12 @@ class TestRootCount:
 
 class TestHScan:
     def _assert_matches_whole_matrix(self, monkeypatch, gamma, beta, grid_n):
+        # every row of the scan against _moments on that row's own support,
+        # split at m; the reference shares no code with the scan
         case = GradientCase(gamma, beta)
         m_max = _m_max(beta)
         ms, hs = _h_scan(case, m_max, grid_n)
-        ref = _h_scan_whole_matrix(case, ms)
+        ref = _h_rows_reference(case, ms)
         scale = np.abs(ref).max()
         assert np.abs(hs - ref).max() <= 1e-11 * scale
         clear = np.abs(ref) > 1e-10 * scale
