@@ -309,7 +309,8 @@ class TestW1WeightedProperties:
     @_props
     @given(_weighted_clouds(dim=2), _weighted_clouds(dim=2), _weighted_clouds(dim=2))
     def test_sliced_triangle_inequality(self, a, b, c):
-        # each of the fixed directions is a 1-d W1, so their mean is a metric
+        # each fixed direction gives a 1-d W1, so their mean obeys the triangle
+        # inequality too
         tol = 1e-11 * (_scale(a) + _scale(b) + _scale(c))
         assert w1(a, c) <= w1(a, b) + w1(b, c) + tol
 
