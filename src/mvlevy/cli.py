@@ -114,9 +114,10 @@ def cmd_sample(args, cfg, out):
         cf = {}
         for t in (0.5, 1.0, 2.0):
             emp = float(np.mean(np.cos(t * draws[:, 0])))
+            # alpha = 2 draws standard Brownian motion, CF exp(-dt t^2 / 2)
             cf[str(t)] = {"empirical": emp,
                           "target": math.exp(-(dt * t ** levy.alpha)
-                                             if levy.alpha < 2 else -dt * t ** 2)}
+                                             if levy.alpha < 2 else -dt * t ** 2 / 2.0)}
         report["char_fn"] = cf
     _dump(out, "report.json", report)
     return 0

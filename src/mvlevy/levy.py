@@ -103,50 +103,49 @@ class LevyMeasureSpec:
         """Constant C of the stable Levy density C|z|^{-d-alpha}."""
         return stable_constant(self.dim, self.alpha) * self.scale ** self.alpha
 
+    def _densities(self, r):
+        """(radial, pointwise) density at radii r; every kind is isotropic,
+        so the two differ by the sphere area |S^{d-1}| r^{d-1}.  Each law is
+        written once: per unit volume for the Gaussian jump law (finite at
+        r = 0, where its radial density vanishes in d >= 2), per unit radius
+        for the others.  Where the radial density is 0 so is the other."""
+        r = np.asarray(r, dtype=float)
+        d = self.dim
+        shell = sphere_area(d) * r ** (d - 1)
+        if self.kind == COMPOUND and self.jump_dist[0] == "gaussian":
+            # rate times the N(0, std^2 I_d) density
+            std = self.jump_dist[1]
+            dens = (self.rate * (2.0 * math.pi * std ** 2) ** (-d / 2.0)
+                    * np.exp(-r ** 2 / (2.0 * std ** 2)))
+            return dens * shell, dens
+        if self.kind == COMPOUND:
+            # rate times jump sizes uniform on [lo, hi]
+            lo, hi = self.jump_dist[1:]
+            radial = self.rate * np.where((r >= lo) & (r <= hi), 1.0 / (hi - lo), 0.0)
+        elif self.alpha >= 2.0:
+            radial = np.zeros_like(r)
+        else:
+            with np.errstate(divide="ignore"):
+                radial = (self.density_constant * sphere_area(d)
+                          * r ** (-1.0 - self.alpha))
+            if self.kind == TRUNCATED:
+                radial = np.where(r <= self.cutoff, radial, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return radial, np.where(radial > 0, radial / shell, 0.0)
+
     def radial_density(self, r):
         """dnu/dr after integrating out the sphere: mass per unit radius."""
-        r = np.asarray(r, dtype=float)
-        if self.kind in (STABLE, TRUNCATED):
-            if self.alpha >= 2.0:
-                return np.zeros_like(r)
-            out = self.density_constant * sphere_area(self.dim) * r ** (-1.0 - self.alpha)
-            if self.kind == TRUNCATED:
-                out = np.where(r <= self.cutoff, out, 0.0)
-            return out
-        # compound Poisson: rate times the radial density of the jump law
-        name, params = self.jump_dist[0], self.jump_dist[1:]
-        if name == "gaussian":
-            std = params[0]
-            # chi distribution of |Z|, Z ~ N(0, std^2 I_d)
-            d = self.dim
-            coef = 2.0 ** (1.0 - d / 2.0) / (math.gamma(d / 2.0) * std ** d)
-            return self.rate * coef * r ** (d - 1) * np.exp(-r ** 2 / (2.0 * std ** 2))
-        lo, hi = params
-        return self.rate * np.where((r >= lo) & (r <= hi), 1.0 / (hi - lo), 0.0)
+        return self._densities(r)[0]
 
     def levy_density(self, z):
-        """Pointwise Levy density at vectors z (rows)."""
+        """Pointwise Levy density at vectors z (rows).
+
+        The uniform jump law spreads its sizes over uniform directions, as
+        sample_increment draws them, so in d >= 2 its density falls off like
+        |z|^{1-d} on lo <= |z| <= hi.
+        """
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        r = np.linalg.norm(z, axis=-1)
-        if self.kind in (STABLE, TRUNCATED):
-            if self.alpha >= 2.0:
-                return np.zeros_like(r)
-            with np.errstate(divide="ignore"):
-                out = self.density_constant * r ** (-self.dim - self.alpha)
-            if self.kind == TRUNCATED:
-                out = np.where(r <= self.cutoff, out, 0.0)
-            return out
-        name, params = self.jump_dist[0], self.jump_dist[1:]
-        if name == "gaussian":
-            std = params[0]
-            d = self.dim
-            return (self.rate * (2.0 * math.pi * std ** 2) ** (-d / 2.0)
-                    * np.exp(-r ** 2 / (2.0 * std ** 2)))
-        if name == "uniform" and self.dim == 1:
-            lo, hi = params
-            # symmetric uniform magnitude on [lo, hi]
-            return self.rate * np.where((r >= lo) & (r <= hi), 0.5 / (hi - lo), 0.0)
-        raise ValueError("pointwise density unavailable for this jump_dist")
+        return self._densities(np.linalg.norm(z, axis=-1))[1]
 
     to_json = _to_json
     from_json = classmethod(_from_json)
@@ -307,6 +306,8 @@ def sample_increment(spec, dt, rng, size=1):
     alpha = 2 is scale times standard Brownian motion, with variance
     scale^2 dt per coordinate; it is not the alpha -> 2- stable limit (or
     unit_isotropic_stable(2, ...)), whose variance is 2 scale^2 dt.
+    The truncated kind is compound-Poisson big jumps above delta = cutoff/100
+    plus a variance-matched Gaussian for the small jumps (documented bias).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -320,49 +321,42 @@ def sample_increment(spec, dt, rng, size=1):
         return spec.scale * dt ** (1.0 / spec.alpha) * unit_isotropic_stable(
             spec.alpha, d, rng, size)
     if spec.kind == TRUNCATED:
-        return _truncated_increment(spec, dt, rng, size)
-    # compound Poisson
-    n_jumps = rng.poisson(spec.rate * dt, size)
-    out = np.zeros((size, d))
+        a, R = spec.alpha, spec.cutoff
+        delta = 0.01 * R
+        c = spec.density_constant * sphere_area(d)
+        lam = c * (delta ** -a - R ** -a) / a
+        small_var = c * delta ** (2.0 - a) / ((2.0 - a) * d)  # per coordinate
+        out = math.sqrt(small_var * dt) * rng.standard_normal((size, d))
+
+        def jumps(n):
+            # sizes by inverting the radial law's tail on [delta, R]
+            u = rng.uniform(0.0, 1.0, n)
+            return _spread((delta ** -a - u * (delta ** -a - R ** -a)) ** (-1.0 / a), rng, d)
+        return _add_jumps(out, lam * dt, rng, jumps)
+    name, params = spec.jump_dist[0], spec.jump_dist[1:]
+
+    def jumps(n):
+        if name == "gaussian":
+            return params[0] * rng.standard_normal((n, d))
+        return _spread(rng.uniform(*params, n), rng, d)
+    return _add_jumps(np.zeros((size, d)), spec.rate * dt, rng, jumps)
+
+
+def _add_jumps(out, mean, rng, jumps):
+    """Add to each row of out, in place, a Poisson(mean) number of the
+    jumps drawn by jumps(n), an (n, dim) array; returns out."""
+    n_jumps = rng.poisson(mean, len(out))
     total = int(n_jumps.sum())
     if total:
-        jumps = _compound_jumps(spec, rng, total)
-        idx = np.repeat(np.arange(size), n_jumps)
-        np.add.at(out, idx, jumps)
+        np.add.at(out, np.repeat(np.arange(len(out)), n_jumps), jumps(total))
     return out
 
 
-def _compound_jumps(spec, rng, n):
-    name, params = spec.jump_dist[0], spec.jump_dist[1:]
-    d = spec.dim
-    if name == "gaussian":
-        return params[0] * rng.standard_normal((n, d))
-    lo, hi = params
-    radii = rng.uniform(lo, hi, n)
-    dirs = rng.standard_normal((n, d))
+def _spread(radii, rng, d):
+    """Jumps of lengths radii in uniform random directions of R^d."""
+    dirs = rng.standard_normal((radii.size, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radii[:, None] * dirs
-
-
-def _truncated_increment(spec, dt, rng, size):
-    """Compound-Poisson big jumps above delta plus a variance-matched
-    Gaussian for the small jumps (documented bias)."""
-    a, d, R = spec.alpha, spec.dim, spec.cutoff
-    delta = 0.01 * R
-    c = spec.density_constant * sphere_area(d)
-    lam = c * (delta ** -a - R ** -a) / a
-    small_var = c * delta ** (2.0 - a) / ((2.0 - a) * d)  # per coordinate
-    out = math.sqrt(small_var * dt) * rng.standard_normal((size, d))
-    n_jumps = rng.poisson(lam * dt, size)
-    total = int(n_jumps.sum())
-    if total:
-        u = rng.uniform(0.0, 1.0, total)
-        radii = (delta ** -a - u * (delta ** -a - R ** -a)) ** (-1.0 / a)
-        dirs = rng.standard_normal((total, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        idx = np.repeat(np.arange(size), n_jumps)
-        np.add.at(out, idx, radii[:, None] * dirs)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,29 @@ class GradientCase:
         return self.gamma * m * x - x ** 4 + self.beta * x ** 2
 
 
+def _pieces(case, m, fmax):
+    """(a, b): the one or two intervals where the exponent lies within 60
+    of fmax, split at m.  The real parts of all four roots of
+    exponent = fmax - 60 cut the line; a piece between cuts is inside when
+    its midpoint clears the level, and adjacent inside pieces join, so a
+    near-double root can neither drop nor split an interval."""
+    level = fmax - 60.0
+    ends = np.unique(np.roots([-1.0, 0.0, case.beta, case.gamma * m, -level]).real)
+    inside = case.exponent(0.5 * (ends[:-1] + ends[1:]), m) >= level
+    edge = np.diff(np.concatenate(([0], inside, [0])))
+    a = np.sort(np.append(ends[edge == 1], m))
+    b = np.sort(np.append(ends[edge == -1], m))
+    return a[a < b], b[a < b]
+
+
 def _support(case, m):
-    """Interval outside which the density exponent drops 60 below its max."""
-    half = 2.0 + math.sqrt(abs(case.beta)) + (case.gamma * abs(m)) ** (1.0 / 3.0)
-    xs = np.linspace(-8.0 * half, 8.0 * half, 4001)
-    f = case.exponent(xs, m)
-    fmax = f.max()
-    keep = xs[f >= fmax - 60.0]
-    pad = xs[1] - xs[0]
-    return float(keep.min() - pad), float(keep.max() + pad), float(fmax)
+    """(lo, hi, fmax): fmax is the exponent's maximum, taken at the real
+    roots of its derivative -4x^3 + 2 beta x + gamma m, and the exponent
+    drops more than 60 below fmax outside [lo, hi]."""
+    crit = np.roots([-4.0, 0.0, 2.0 * case.beta, case.gamma * m]).real
+    fmax = float(case.exponent(crit, m).max())
+    a, b = _pieces(case, m, fmax)
+    return float(a[0]), float(b[-1]), fmax
 
 
 def _gl_rule(panels):
@@ -65,10 +79,11 @@ def _gl_rule(panels):
 
 
 # The rule behind h_fn and stationary_density: GL_PANELS panels on each
-# side of m (coarse) against 2 GL_PANELS (fine), GL_NODES nodes per panel.
-# Against adaptive quadrature this agreed within 3.5e-12 of the mass for
-# gamma in [0.5, 4], beta in [0.001, 100] and |m| <= 6; with 8 panels the
-# bimodal density at (gamma, beta, m) = (0.5, 50, -6) failed its own check.
+# piece of _pieces (coarse) against 2 GL_PANELS (fine), GL_NODES nodes per
+# panel.  Against adaptive quadrature this agreed within 1.1e-12 of the mass
+# for gamma in [0.5, 4], beta in [-50, 100] and |m| <= 12, and within 3e-10
+# at beta = 1000, where rounding the exponent's terms (about 1e6) dominates.
+# _h_scan uses the fine rule too, so the pinned beta_c bits depend on both.
 GL_NODES = 24
 GL_PANELS = 16
 _COARSE, _FINE = _gl_rule(GL_PANELS), _gl_rule(2 * GL_PANELS)
@@ -81,21 +96,29 @@ _RULE_W[_COARSE[0].size:, 1] = _FINE[1]
 def _moments(case, m, lo, hi, fmax):
     """(int (x - m) p, int p) over [lo, hi] for p = exp(exponent - fmax).
 
-    The composite Gauss-Legendre rule splits [lo, hi] at m, where (x - m)
-    changes sign, and both sums come from the same exp evaluations.  The
-    fine rule's value is returned; its difference from the coarse rule
-    bounds the error, and an error above 1e-8 of the mass raises
-    QuadratureFailure.
+    The composite Gauss-Legendre rule covers each piece of [lo, hi] from
+    _pieces, where the exponent lies within 60 of fmax: one or two
+    intervals, split at m, where (x - m) changes sign.  Both sums come
+    from the same exp evaluations.  The fine rule's value is returned.
+    Its error estimate is its difference from the coarse rule plus the
+    rounding of the exponent, whose terms reach x^4 and |fmax|: eps times
+    their sum at each node, summed in quadrature.  An error above 1e-8 of
+    the mass raises QuadratureFailure.
     """
-    c = min(max(m, lo), hi)
-    x = np.concatenate((lo + (c - lo) * _RULE_X, c + (hi - c) * _RULE_X))
-    w = np.concatenate(((c - lo) * _RULE_W, (hi - c) * _RULE_W))
+    a, b = (np.clip(e, lo, hi) for e in _pieces(case, m, fmax))
+    x = (a[:, None] + (b - a)[:, None] * _RULE_X).ravel()
+    w = ((b - a)[:, None, None] * _RULE_W).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         p = np.exp(case.exponent(x, m) - fmax)
         (h_c, h_f), (mass_c, mass) = np.stack(((x - m) * p, p)) @ w
+        # roundings at different nodes are independent: they add in quadrature
+        x2 = x * x
+        rounding = w[:, 1] * p * np.finfo(float).eps * (
+            x2 * x2 + abs(case.beta) * x2 + abs(case.gamma * m * x) + abs(fmax))
+        h_round, mass_round = np.linalg.norm((abs(x - m) * rounding, rounding), axis=1)
     if not (mass > 0 and math.isfinite(mass) and math.isfinite(h_f)):
         raise QuadratureFailure("degenerate normalizing mass")
-    err = max(abs(h_f - h_c), abs(mass - mass_c))
+    err = max(abs(h_f - h_c) + h_round, abs(mass - mass_c) + mass_round)
     if not err <= 1e-8 * mass:
         raise QuadratureFailure(f"quadrature error {err:g} too large")
     return float(h_f), float(mass)
@@ -107,8 +130,9 @@ def h_fn(case, m):
     The exponent is shifted by its max for stable quadrature; the shift
     rescales h by a positive constant and leaves its roots and signs alone.
     The integral is the composite Gauss-Legendre rule of _moments over the
-    support, split at m, and raises QuadratureFailure when its error
-    estimate exceeds 1e-8 of the mass.
+    pieces of the support, and raises QuadratureFailure when its error
+    estimate exceeds 1e-8 of the mass: from beta of about 3e3 on, where
+    rounding the exponent's terms (about beta^2) moves h by that much.
     """
     return _moments(case, m, *_support(case, m))[0]
 

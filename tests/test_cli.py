@@ -27,9 +27,12 @@ SIM_BLOCK = {"dt": 0.01, "T": 10.0, "n_chains": 100, "thin": 10, "seed": 4}
 
 
 class TestSample:
-    def test_reproducible_and_resolved_config(self, tmp_path):
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_reproducible_and_resolved_config(self, tmp_path, alpha):
+        # at alpha = 2 the sampler draws standard Brownian motion, so the
+        # char_fn target is exp(-dt t^2 / 2), not the stable exp(-dt t^2)
         cfg = _write_cfg(tmp_path / "c.json",
-                         {"levy": {"kind": "stable", "alpha": 1.5, "scale": 1.0,
+                         {"levy": {"kind": "stable", "alpha": alpha, "scale": 1.0,
                                    "dim": 1},
                           "seed": 7, "n": 2000})
         out1, out2 = tmp_path / "a", tmp_path / "b"

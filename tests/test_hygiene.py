@@ -69,10 +69,17 @@ def test_cli_import_does_not_load_scipy_stats():
      "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.3}',
      "--set", "seeds=[[-1.0], [1.0]]"],
     ["selfconsistent", "--gamma", "2", "--beta", "1"],
-], ids=["fixpoint", "multiplicity", "selfconsistent"])
+    ["sample", "--set", "seed=1", "--set", "n=2000", "--set",
+     'levy={"kind": "truncated_stable", "alpha": 1.2, "cutoff": 2.0, "dim": 2}'],
+    ["sample", "--set", "seed=1", "--set", "n=2000", "--set",
+     'levy={"kind": "compound_poisson", "rate": 3.0, "dim": 2, '
+     '"jump_dist": ["uniform", 0.5, 1.5]}'],
+], ids=["fixpoint", "multiplicity", "selfconsistent", "sample-truncated",
+        "sample-compound"])
 def test_cli_commands_load_no_scipy_submodule(tmp_path, argv):
     # the commands the benchmark runs: beta_star in fixpoint and
-    # multiplicity, h_fn in selfconsistent --beta
+    # multiplicity, h_fn in selfconsistent --beta; and the jump samplers'
+    # shared compound-Poisson routine
     code = f"assert mvlevy.cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0"
     assert _scipy_modules_after(code, tmp_path) == "[]"
 

@@ -1,6 +1,7 @@
 """Noise-measure functionals: normalization, tail moments, overlap, J,
 increment samplers, and the piecewise-linear sigma profile."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -309,6 +310,80 @@ def test_truncated_increments_respect_cutoff_scale():
     draws = sample_increment(spec, 0.01, gen, size=50000)
     # no single window should exceed cutoff plus Gaussian dust by much
     assert float(np.abs(draws).max()) < 3.0 * 2.0
+
+
+@st.composite
+def _any_specs(draw):
+    """Specs of every kind and jump law in d = 1, 2, 3."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["stable", "truncated_stable", "gaussian", "uniform"]))
+    if kind == "gaussian":
+        return LevyMeasureSpec(kind="compound_poisson", rate=draw(st.floats(0.1, 5.0)),
+                               dim=dim, jump_dist=("gaussian", draw(st.floats(0.1, 3.0))))
+    if kind == "uniform":
+        lo = draw(st.floats(0.0, 2.0))
+        return LevyMeasureSpec(kind="compound_poisson", rate=draw(st.floats(0.1, 5.0)),
+                               dim=dim, jump_dist=("uniform", lo,
+                                                   lo + draw(st.floats(0.1, 3.0))))
+    return LevyMeasureSpec(kind=kind, alpha=draw(st.floats(0.3, 1.99)),
+                           scale=draw(st.floats(0.2, 3.0)), dim=dim,
+                           cutoff=draw(st.floats(0.5, 4.0)) if kind != "stable" else 0.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_any_specs(), st.lists(st.floats(0.01, 6.0), min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_pointwise_density_spreads_radial_density_over_the_sphere(spec, radii, seed):
+    # every kind is isotropic: nu(r u) |S^{d-1}| r^{d-1} = radial_density(r)
+    r = np.array(radii)
+    u = np.random.default_rng(seed).standard_normal((r.size, spec.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    shell = sphere_area(spec.dim) * r ** (spec.dim - 1)
+    got = spec.levy_density(r[:, None] * u) * shell
+    assert np.allclose(got, spec.radial_density(r), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_at_the_origin(dim):
+    zero = np.zeros((1, dim))
+    for spec in (LevyMeasureSpec(alpha=1.5, dim=dim),
+                 LevyMeasureSpec(kind="truncated_stable", alpha=0.7, cutoff=2.0, dim=dim)):
+        assert spec.levy_density(zero)[0] == np.inf
+    # the normal density's peak, finite although the radial density is 0
+    # there in d >= 2
+    gauss = LevyMeasureSpec(kind="compound_poisson", rate=2.0, dim=dim,
+                            jump_dist=("gaussian", 0.7))
+    assert gauss.levy_density(zero)[0] == 2.0 * (2.0 * math.pi * 0.7 ** 2) ** (-dim / 2.0)
+    # the uniform law has density only where its sizes reach
+    for lo, want in ((0.0, 0.5 if dim == 1 else np.inf), (0.5, 0.0)):
+        unif = LevyMeasureSpec(kind="compound_poisson", rate=1.0, dim=dim,
+                               jump_dist=("uniform", lo, lo + 1.0))
+        assert unif.levy_density(zero)[0] == want
+
+
+# sha256 of sample_increment(spec, 0.3, mvrng.stream(2024, dim), size=500),
+# recorded before the jump samplers shared one routine: the draws and their
+# order are pinned
+_DRAW_DIGESTS = {
+    ("truncated", 1): "79031a5fd9de2d59cfa1abea0039362726792127f430142267664660886ab95f",
+    ("truncated", 2): "a450fda2988c8bbe0091e6ce795579ed570385abd46612a43a157a4eaebc9303",
+    ("gaussian", 1): "0cff42f0408838281862d30d00fb55ba6ee71acddfe3ca5ea82c9382a67e6e0d",
+    ("gaussian", 2): "4c7adfa3bedb988852db8f4784dcfac3739cb85f8d40c4462853b0bc6223ce4b",
+    ("uniform", 1): "b2b1ec3aa97b7aaca06d669a737394e0076e38707a1ad6214b9f3327dba847d3",
+    ("uniform", 2): "50957e95746c9bdc4af8a1f522441fff2f71f477448040784aa30576bbaeba5f",
+}
+
+
+@pytest.mark.parametrize("law, dim", sorted(_DRAW_DIGESTS))
+def test_jump_sampler_draws_are_pinned(law, dim):
+    spec = LevyMeasureSpec(dim=dim, **{
+        "truncated": dict(kind="truncated_stable", alpha=1.2, scale=0.8, cutoff=2.0),
+        "gaussian": dict(kind="compound_poisson", rate=3.0, jump_dist=("gaussian", 0.7)),
+        "uniform": dict(kind="compound_poisson", rate=3.0,
+                        jump_dist=("uniform", 0.5, 1.5))}[law])
+    draws = sample_increment(spec, 0.3, mvrng.stream(2024, dim), size=500)
+    assert draws.shape == (500, dim) and draws.dtype == np.float64
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == _DRAW_DIGESTS[law, dim]
 
 
 def test_sigma_spec_validation():

@@ -117,6 +117,19 @@ class TestQuadrature:
         assert abs(got - h) <= 1e-8 * mass
 
 
+    @pytest.mark.parametrize("gamma, beta, m", [
+        (0.5, 100.0, -8.0), (0.5, 100.0, 8.0), (0.5, 100.0, 7.2), (0.5, 100.0, 7.5),
+        (0.5, 100.0, 8.45), (2.0, 1e3, 0.0), (2.0, 1e3, 0.3), (2.0, 1e3, 5.0)])
+    def test_separated_modes_integrate(self, gamma, beta, m):
+        # two modes on one side of m (gamma = 0.5) or modes about beta^-1/2
+        # wide (beta = 1e3): the support grid and the panels around m used
+        # to miss them and raise.  At beta = 1e3 the exponent's terms reach
+        # 5e5, so rounding them moves h by about 1e-10 of the mass
+        case = GradientCase(gamma, beta)
+        h, mass = _quad_reference(case, m)
+        assert abs(h_fn(case, m) - h) <= 1e-9 * mass
+
+
 class TestRootCount:
     def test_single_root_below_transition(self):
         res = root_count(GradientCase(2.0, 0.5), 6.0, 1000)
