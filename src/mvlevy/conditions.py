@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import _h
 from .errors import (CaseViolation, NotInTheta, QuadratureFailure, ZeroOverlap,
                      _check_types)
 from .levy import BALL, COMPLEMENT, J, SigmaSpec, tail_moment
@@ -60,7 +59,7 @@ def phi_fn(params, levy, eps2, r, l):
     small = tail_moment(levy, 2.0, BALL, l)
     big = tail_moment(levy, b, COMPLEMENT, l)
     return (b * p.C_b
-            + b * p.lam1 * _h(r ** 2) ** ((1.0 + p.theta1) / 2.0)
+            + b * p.lam1 * p.h(r ** 2) ** ((1.0 + p.theta1) / 2.0)
             * (1.0 + r ** 2) ** (p.beta_star / 2.0)
             + (b / 2.0) * small + big)
 
@@ -69,7 +68,7 @@ def _theta_lhs(params, levy, t):
     p = params
     ind = 1.0 if 0.0 < p.gamma1 < 1.0 else 0.0
     tail = tail_moment(levy, p.beta / 2.0, COMPLEMENT, t.l)
-    return (p.beta * (p.lam1 * _h(t.r0 ** 2) ** ((1.0 + p.theta1) / 2.0)
+    return (p.beta * (p.lam1 * p.h(t.r0 ** 2) ** ((1.0 + p.theta1) / 2.0)
                       - t.eps1 * p.lam2 * ind - t.eps2)
             - 2.0 ** (p.beta / 2.0) * tail)
 
@@ -188,11 +187,12 @@ def _jump_noise(levy, beta, eps):
     return lambda r: 2.0 ** (beta / 2.0) * nu_half * r ** (beta / 2.0) + const
 
 
-def _witness(check, ok_key, r0_max, n_eps, n_r0):
-    """First (eps, r0) on a grid, logarithmic in eps and linear in r0 below
-    its ceiling r0_max, where check(eps, r0)[ok_key] holds; None if none."""
-    for eps in np.logspace(-4, 0, n_eps):
-        for r0 in np.linspace(r0_max * 0.999, r0_max / n_r0, n_r0):
+def _witness(check, ok_key, r0_max):
+    """First (eps, r0) on a 25 x 40 grid, 25 eps logarithmic in [1e-4, 1]
+    and 40 r0 linear below its ceiling r0_max, where check(eps, r0)[ok_key]
+    holds; None if none."""
+    for eps in np.logspace(-4, 0, 25):
+        for r0 in np.linspace(r0_max * 0.999, r0_max / 40, 40):
             if check(float(eps), float(r0))[ok_key]:
                 return float(eps), float(r0)
     return None
@@ -248,14 +248,14 @@ def ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy):
             "convex_ok": bool(convex_ok), "g": g, "pairs": pairs}
 
 
-def ex14_feasibility(lam, kappa, beta, a1, a2, levy, n_eps=25, n_r0=40):
+def ex14_feasibility(lam, kappa, beta, a1, a2, levy):
     """Search an (eps, r0) grid for a witness making we2_ok true.
 
-    Returns (eps, r0) or None; the grid is logarithmic in eps and linear
-    in r0 below its admissible ceiling.
+    Returns (eps, r0) or None; the 25 x 40 grid of _witness is logarithmic
+    in eps and linear in r0 below its admissible ceiling.
     """
     return _witness(lambda eps, r0: ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy),
-                    "we2_ok", min(abs(a1), abs(a2)) / 4.0, n_eps, n_r0)
+                    "we2_ok", min(abs(a1), abs(a2)) / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +296,12 @@ def ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy):
             "delta": delta}
 
 
-def ex15_feasibility(lam, kappa, beta, y1, y2, levy, n_eps=25, n_r0=40):
-    """(eps, r0) witness search for the two-well feasibility inequality."""
+def ex15_feasibility(lam, kappa, beta, y1, y2, levy):
+    """(eps, r0) witness search on the 25 x 40 grid of _witness for the
+    two-well feasibility inequality."""
     delta = float(np.linalg.norm(np.asarray(y1, float) - np.asarray(y2, float)))
     return _witness(lambda eps, r0: ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy),
-                    "wq2_ok", delta / 4.0, n_eps, n_r0)
+                    "wq2_ok", delta / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +344,6 @@ class AppendixParams:
         if self.C_V <= 0 or self.lambda_V <= 0 or self.beta0 <= 0:
             raise ValueError("C_V, lambda_V, beta0 must be positive")
 
-    @property
-    def K(self):
-        return self.K1
-
 
 @dataclass(frozen=True)
 class AppendixConstants:
@@ -368,10 +365,10 @@ def appendix_constants(ap, levy):
     Jk = J(levy, ap.kappa)
     if Jk <= 0.0:
         raise ZeroOverlap("J(kappa) = 0")
-    K, kap, l0 = ap.K, ap.kappa, ap.l0
-    c = 1.0 + 16.0 * K * l0 / (Jk * kap ** 2)
+    K1, kap, l0 = ap.K1, ap.kappa, ap.l0
+    c = 1.0 + 16.0 * K1 * l0 / (Jk * kap ** 2)
     ecl = math.exp(-c * l0)
-    a = 8.0 * K * c * (1.0 + kap) / Jk + kap ** 2 * c ** 2 * ecl
+    a = 8.0 * K1 * c * (1.0 + kap) / Jk + kap ** 2 * c ** 2 * ecl
     eps = kap ** 2 * c ** 2 * ecl * Jk / (16.0 * ap.C_V)
     lambda0 = 0.25 * min(Jk * kap ** 2 * c ** 2 * ecl / (2.0 * (2.0 + a)),
                          3.0 * ap.lambda_V)
@@ -381,7 +378,7 @@ def appendix_constants(ap, levy):
     g1_2l0 = ap.sigma.integral_inverse(2.0 * l0)
     c2 = min(2.0 * ap.K2, 1.0 / g1_2l0)
     # g = g1 + (2/c2) g2 with g2 = K1 g1
-    g_2l0 = g1_2l0 * (1.0 + 2.0 * ap.K1 / c2)
+    g_2l0 = g1_2l0 * (1.0 + 2.0 * K1 / c2)
     c1 = math.exp(-c2 * g_2l0)
     C_contr = (1.0 + 1.0 / c1) / 2.0 if c1 > 0.0 else math.inf
     if math.isinf(C_contr):

@@ -152,10 +152,6 @@ def eval_drift(spec, x, mu):
 # Lyapunov parameters
 
 
-def _h(r):
-    return r / (1.0 + r)
-
-
 @dataclass(frozen=True)
 class A1Params:
     """Symbols of the dissipativity inequality with derived exponents.
@@ -212,7 +208,7 @@ class A1Params:
 
     @staticmethod
     def h(r):
-        return _h(r)
+        return r / (1.0 + r)
 
 
 def _sup(fn, dim):

@@ -60,23 +60,21 @@ class FixedPointReport:
     noise_floor: float
 
 
-def iterate_lambda(drift, levy, mu0, cfg, beta_star=None, key=(),
-                   check_noise_floor=True):
+def iterate_lambda(drift, levy, mu0, cfg, key=(), check_noise_floor=True):
     """Iterate the frozen-measure map from mu0 until the W1 step falls
     below w1_tol or max_iter is hit.
 
     Every iteration runs on seed cfg.sim.seed: iteration it is the frozen
     run with key (*key, it), so distinct seeds, replica keys and iterations
-    draw from distinct streams.  beta_star defaults to the drift family's
-    Lyapunov exponent, read from lyapunov_exponents without the sup search
-    for C_b; the report records the final measure's beta_star-th moment.
+    draw from distinct streams.  The report records the final measure's
+    beta_star-th moment, beta_star being the drift family's Lyapunov
+    exponent, read from lyapunov_exponents without the sup search for C_b.
     The noise floor is the split-chain floor of the last frozen run
     (the occupation measure, not the damped mixture), so it costs no run of
     its own.  Raises NoiseFloorExceedsTol when the tolerance undercuts that
     floor (the configuration cannot certify convergence).
     """
-    if beta_star is None:
-        beta_star = lyapunov_exponents(drift, alpha=levy.alpha).beta_star
+    beta_star = lyapunov_exponents(drift, alpha=levy.alpha).beta_star
     mu = mu0
     history = []
     converged = False
@@ -128,7 +126,7 @@ class MultiplicityReport:
     errors: dict
 
 
-def multiplicity_search(drift, levy, seeds, M_star, cfg, beta_star=None):
+def multiplicity_search(drift, levy, seeds, M_star, cfg):
     """Run the fixed-point iteration from a Dirac at each seed center and
     test pairwise distinctness.  The run from center i has key (i,).
 
@@ -152,7 +150,7 @@ def multiplicity_search(drift, levy, seeds, M_star, cfg, beta_star=None):
     for i, y in enumerate(seeds):
         try:
             reports[i] = iterate_lambda(drift, levy, EmpiricalMeasure.dirac(y), cfg,
-                                        beta_star=beta_star, key=(i,))
+                                        key=(i,))
         except MvLevyError as exc:  # partial reports allowed
             errors[i] = exc
     distinct = np.zeros((k, k), dtype=bool)

@@ -91,6 +91,9 @@ class LevyMeasureSpec:
             raise ValueError("dim must be >= 1")
         if self.kind == TRUNCATED and self.cutoff <= 0:
             raise ValueError("truncated spec needs a positive cutoff")
+        if self.kind == TRUNCATED and self.alpha >= 2.0:
+            raise ValueError("truncated spec needs alpha < 2: "
+                             "alpha = 2 has no jumps to truncate")
         if self.kind == COMPOUND and self.rate <= 0:
             raise ValueError("compound spec needs a positive rate")
         if self.kind == COMPOUND and not _jump_dist_ok(self.jump_dist):
@@ -413,10 +416,11 @@ class SigmaSpec:
             raise ValueError("r beyond sigma domain")
         return total
 
-    def validate_domination(self, levy, kappa, n_grid=32):
-        """Check sigma(r) <= (1/(2r)) J(kappa ^ r) (kappa ^ r)^2 on a grid."""
+    def validate_domination(self, levy, kappa):
+        """Check sigma(r) <= (1/(2r)) J(kappa ^ r) (kappa ^ r)^2 on a grid
+        of 32 radii."""
         r_lo, r_hi = self.knots[0][0], self.knots[-1][0]
-        grid = np.linspace(max(r_lo, 1e-3), r_hi, n_grid)
+        grid = np.linspace(max(r_lo, 1e-3), r_hi, 32)
         for r in grid:
             kr = min(kappa, r)
             bound = J(levy, kr) * kr ** 2 / (2.0 * r)

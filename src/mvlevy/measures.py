@@ -147,11 +147,11 @@ def _weight_fn(x, beta0):
     return (1.0 + np.sum(np.atleast_2d(x) ** 2, axis=-1)) ** (beta0 / 2.0)
 
 
-def weighted_tv(mu, nu, beta0, max_exact=4096):
+def weighted_tv(mu, nu, beta0):
     """Weighted total variation estimate with weight U = (1+|x|^2)^{beta0/2}.
 
-    Exact when the union support has few distinct atoms; otherwise a binned
-    estimator with Freedman-Diaconis widths (d <= 3 only).
+    Exact when the union support has at most 4096 distinct atoms; otherwise
+    a binned estimator with Freedman-Diaconis widths (d <= 3 only).
     """
     if beta0 <= 0:
         raise ValueError("beta0 must be positive")
@@ -159,7 +159,7 @@ def weighted_tv(mu, nu, beta0, max_exact=4096):
         raise DimensionMismatch(f"dims {mu.dim} vs {nu.dim}")
     allpts = np.vstack([mu.points, nu.points])
     uniq, inv = np.unique(allpts, axis=0, return_inverse=True)
-    if uniq.shape[0] <= max_exact:
+    if uniq.shape[0] <= 4096:
         p = np.zeros(uniq.shape[0])
         q = np.zeros(uniq.shape[0])
         np.add.at(p, inv[: mu.size], mu.weights)

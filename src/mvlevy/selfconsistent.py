@@ -45,29 +45,24 @@ class GradientCase:
         return self.gamma * m * x - x ** 4 + self.beta * x ** 2
 
 
-def _pieces(case, m, fmax):
-    """(a, b): the one or two intervals where the exponent lies within 60
-    of fmax, split at m.  The real parts of all four roots of
-    exponent = fmax - 60 cut the line; a piece between cuts is inside when
-    its midpoint clears the level, and adjacent inside pieces join, so a
-    near-double root can neither drop nor split an interval."""
+def _pieces(case, m):
+    """(a, b, fmax): fmax is the exponent's maximum, taken at the real
+    roots of its derivative -4x^3 + 2 beta x + gamma m; a and b bound the
+    one or two intervals where the exponent lies within 60 of fmax, split
+    at m.  The real parts of all four roots of exponent = fmax - 60 cut the
+    line; a piece between cuts is inside when its midpoint clears the
+    level, and adjacent inside pieces join, so a near-double root can
+    neither drop nor split an interval.  Outside [a[0], b[-1]] the
+    exponent drops more than 60 below fmax."""
+    crit = np.roots([-4.0, 0.0, 2.0 * case.beta, case.gamma * m]).real
+    fmax = float(case.exponent(crit, m).max())
     level = fmax - 60.0
     ends = np.unique(np.roots([-1.0, 0.0, case.beta, case.gamma * m, -level]).real)
     inside = case.exponent(0.5 * (ends[:-1] + ends[1:]), m) >= level
     edge = np.diff(np.concatenate(([0], inside, [0])))
     a = np.sort(np.append(ends[edge == 1], m))
     b = np.sort(np.append(ends[edge == -1], m))
-    return a[a < b], b[a < b]
-
-
-def _support(case, m):
-    """(lo, hi, fmax): fmax is the exponent's maximum, taken at the real
-    roots of its derivative -4x^3 + 2 beta x + gamma m, and the exponent
-    drops more than 60 below fmax outside [lo, hi]."""
-    crit = np.roots([-4.0, 0.0, 2.0 * case.beta, case.gamma * m]).real
-    fmax = float(case.exponent(crit, m).max())
-    a, b = _pieces(case, m, fmax)
-    return float(a[0]), float(b[-1]), fmax
+    return a[a < b], b[a < b], fmax
 
 
 def _gl_rule(panels):
@@ -93,19 +88,19 @@ _RULE_W[:_COARSE[0].size, 0] = _COARSE[1]
 _RULE_W[_COARSE[0].size:, 1] = _FINE[1]
 
 
-def _moments(case, m, lo, hi, fmax):
-    """(int (x - m) p, int p) over [lo, hi] for p = exp(exponent - fmax).
+def _moments(case, m):
+    """(int (x - m) p, int p) for p = exp(exponent - fmax).
 
-    The composite Gauss-Legendre rule covers each piece of [lo, hi] from
-    _pieces, where the exponent lies within 60 of fmax: one or two
-    intervals, split at m, where (x - m) changes sign.  Both sums come
-    from the same exp evaluations.  The fine rule's value is returned.
+    The composite Gauss-Legendre rule covers each piece from _pieces,
+    where the exponent lies within 60 of fmax: one or two intervals, split
+    at m, where (x - m) changes sign.  Both sums come from the same exp
+    evaluations.  The fine rule's value is returned.
     Its error estimate is its difference from the coarse rule plus the
     rounding of the exponent, whose terms reach x^4 and |fmax|: eps times
     their sum at each node, summed in quadrature.  An error above 1e-8 of
     the mass raises QuadratureFailure.
     """
-    a, b = (np.clip(e, lo, hi) for e in _pieces(case, m, fmax))
+    a, b, fmax = _pieces(case, m)
     x = (a[:, None] + (b - a)[:, None] * _RULE_X).ravel()
     w = ((b - a)[:, None, None] * _RULE_W).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -134,7 +129,7 @@ def h_fn(case, m):
     estimate exceeds 1e-8 of the mass: from beta of about 3e3 on, where
     rounding the exponent's terms (about beta^2) moves h by that much.
     """
-    return _moments(case, m, *_support(case, m))[0]
+    return _moments(case, m)[0]
 
 
 # m-rows per block of _h_scan; each block temporary holds SCAN_BLOCK x 768
@@ -157,9 +152,9 @@ def _h_scan(case, m_max, grid_n):
     """
     half = np.linspace(-m_max, m_max, grid_n)[grid_n // 2:]
     half[:grid_n % 2] = 0.0  # an odd grid's middle row; linspace can miss 0
-    lo, hi, _ = _support(case, m_max)
-    lo2, hi2, _ = _support(case, -m_max)
-    lo, hi = min(lo, lo2), max(hi, hi2)
+    a, b, _ = _pieces(case, m_max)
+    hi = float(max(b[-1], -a[0]))  # the support at -m_max is the mirror
+    lo = -hi
     xs, w = lo + (hi - lo) * _FINE[0], (hi - lo) * _FINE[1]
     f = case.beta * xs ** 2 - xs ** 4
     weights = np.column_stack((w * xs, w))
@@ -175,23 +170,16 @@ def _h_scan(case, m_max, grid_n):
 def root_count(case, m_max, grid_n, refine=True):
     """Sign-change scan of h on [-m_max, m_max]; each root is refined by
     Brent's method on h_fn, or with refine=False interpolated linearly.
-
-    Tangential near-zeros without a sign flip are reported separately and
-    not counted.
+    Tangential near-zeros without a sign flip are not counted.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
     ms, hs = _h_scan(case, m_max, grid_n)
     roots = []
-    tangential = []
-    scale = np.abs(hs).max()
-    i = 0
-    while i < grid_n - 1:
+    for i in range(grid_n - 1):
         if hs[i] == 0.0:
             roots.append(float(ms[i]))
-            i += 1
-            continue
-        if hs[i] * hs[i + 1] < 0.0:
+        elif hs[i] * hs[i + 1] < 0.0:
             if refine:
                 from scipy.optimize import brentq
 
@@ -199,15 +187,12 @@ def root_count(case, m_max, grid_n, refine=True):
             else:
                 r = ms[i] - hs[i] * (ms[i + 1] - ms[i]) / (hs[i + 1] - hs[i])
             roots.append(float(r))
-        elif abs(hs[i]) < 1e-9 * scale and abs(hs[i + 1]) < 1e-9 * scale:
-            tangential.append(float(ms[i]))
-        i += 1
     roots = sorted(roots)
     cell = ms[1] - ms[0]
     for r1, r2 in zip(roots, roots[1:]):
         if r2 - r1 < 3.0 * cell:
             raise GridTooCoarse(f"roots {r1:.6g} and {r2:.6g} closer than 3 cells")
-    return {"roots": roots, "count": len(roots), "tangential": tangential}
+    return {"roots": roots, "count": len(roots)}
 
 
 @dataclass(frozen=True)
@@ -220,8 +205,9 @@ class BetaCResult:
 
 
 def _count_at(gamma, beta):
+    # the outer roots sit near +-sqrt(gamma/4 + beta/2), inside this m_max
     case = GradientCase(gamma, beta)
-    m_max = max(6.0, 1.6 * math.sqrt(max(beta, 1.0)))
+    m_max = max(6.0, 1.6 * math.sqrt(max(beta, 1.0)), math.sqrt(gamma))
     for grid_n in (1000, 4000, 16000):
         try:
             return root_count(case, m_max, grid_n, refine=False)["count"]
@@ -273,7 +259,7 @@ def ou_classify(lam):
 def stationary_density(case, m, grid):
     """Normalized density exp(gamma m x - x^4 + beta x^2)/C on the grid."""
     grid = np.asarray(grid, dtype=float)
-    lo, hi, fmax = _support(case, m)
-    if grid.min() > lo or grid.max() < hi:
+    a, b, fmax = _pieces(case, m)
+    if grid.min() > a[0] or grid.max() < b[-1]:
         raise QuadratureFailure("grid does not cover the effective support")
-    return np.exp(case.exponent(grid, m) - fmax) / _moments(case, m, lo, hi, fmax)[1]
+    return np.exp(case.exponent(grid, m) - fmax) / _moments(case, m)[1]

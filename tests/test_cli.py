@@ -72,6 +72,14 @@ class TestSample:
                      "--out", str(tmp_path / "o")]) == 2
         assert "LevyMeasureSpec.alpha must be a number" in capsys.readouterr().err
 
+    def test_truncated_alpha_two_is_validation_error(self, tmp_path, capsys):
+        # the small-jump variance divides by 2 - alpha: this ended in a
+        # ZeroDivisionError traceback
+        assert main(["sample", "--set", "seed=1", "--set",
+                     'levy={"kind": "truncated_stable", "alpha": 2.0, "cutoff": 1.0}',
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "alpha = 2 has no jumps to truncate" in capsys.readouterr().err
+
     def test_malformed_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "c.json"
         bad.write_text("{not json")
@@ -230,6 +238,15 @@ class TestSelfConsistent:
                      "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert list(rep["beta_scan"].values()) == [1, 1, 1, 3, 3, 3]
+
+    def test_beta_scan_large_gamma_finds_outer_roots(self, tmp_path):
+        # the outer roots near +-sqrt(gamma/4 + beta/2) = +-6.2 lay outside
+        # the scanned [-6, 6], and the scan reported 1 root
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "150", "--beta-scan", "0.5:1:0.5",
+                     "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["beta_scan"] == {"0.5": 3, "1.0": 3}
 
     def test_supercritical_gamma(self, tmp_path):
         out = tmp_path / "o"

@@ -1,9 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no function
-binds a local name it never reads, no random stream is keyed by an
-integer offset, every config field has a type the checker knows, and
-neither the CLI import nor the benchmarked commands load a scipy
-submodule (scipy.integrate, scipy.optimize and scipy.stats each cost
-most of a second of CLI start-up)."""
+binds a local name it never reads, no option goes unset by every caller,
+no random stream is keyed by an integer offset, every config field has a
+type the checker knows, and neither the CLI import nor the benchmarked
+commands load a scipy submodule (scipy.integrate, scipy.optimize and
+scipy.stats each cost most of a second of CLI start-up)."""
 
 import ast
 import os
@@ -18,7 +18,8 @@ import pytest
 
 from mvlevy.levy import SigmaSpec
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mvlevy"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mvlevy"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -139,6 +140,75 @@ def test_dead_local_check_sees_unpacking_and_closures():
         "        return a\n"
         "    return g\n")
     assert _dead_locals(tree) == [(2, "f", "err"), (5, "f", "i")]
+
+
+def _options(tree):
+    """(function, parameter, position) for each parameter with a default.
+    The position counts the arguments a call passes, so a method's self or
+    cls takes none; it is None for a keyword-only parameter."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, FUNCTIONS)
+               and "staticmethod" not in [getattr(d, "id", None) for d in f.decorator_list]}
+    opts = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTIONS):
+            args, skip = fn.args, int(id(fn) in methods)
+            pos = args.posonlyargs + args.args
+            opts += [(fn.name, a.arg, i - skip) for i, a in enumerate(pos)
+                     if i >= len(pos) - len(args.defaults)]
+            opts += [(fn.name, a.arg, None)
+                     for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return opts
+
+
+def _passed(trees):
+    """(function name, keyword or position) for every argument some call
+    passes; a *args call passes every position ("*"), a **kwargs call
+    every keyword (None)."""
+    passed = set()
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        passed |= {(name, "*" if isinstance(a, ast.Starred) else i)
+                   for i, a in enumerate(call.args)}
+        passed |= {(name, kw.arg) for kw in call.keywords}
+    return passed
+
+
+def _unset_options(defs, callers):
+    """(function, parameter) of each option in defs that no call in callers
+    passes."""
+    passed = _passed(callers)
+    return sorted((fn, name) for tree in defs for fn, name, pos in _options(tree)
+                  if not {(fn, name), (fn, None)} & passed
+                  and (pos is None or not {(fn, pos), (fn, "*")} & passed))
+
+
+def test_every_option_has_a_caller():
+    # an option no caller sets is a value nobody chose: make it a literal
+    callers = [ast.parse(p.read_text()) for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    unset = _unset_options([ast.parse(p.read_text()) for p in MODULES], callers)
+    assert not unset, f"options no caller passes (function, parameter): {unset}"
+
+
+def test_option_check_sees_positions_keywords_and_methods():
+    defs = ast.parse(
+        "def f(x, a=1, b=2, *, c=3, d=4):\n"
+        "    pass\n"
+        "def g(u=0):\n"
+        "    pass\n"
+        "def h(u=0):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def m(self, y=0, z=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(y=0, z=0):\n"
+        "        pass\n")
+    callers = ast.parse("f(0, 1, c=2)\ng(**kw)\nh(*args)\nk.m(1)\nK.s(1)\n")
+    assert _unset_options([defs], [callers]) == [
+        ("f", "b"), ("f", "d"), ("m", "z"), ("s", "z")]
 
 
 def _offset_keys(tree):

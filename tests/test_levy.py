@@ -463,6 +463,13 @@ def test_spec_rejects_bad_parameters():
         LevyMeasureSpec(kind="tempered")
 
 
+def test_truncated_spec_needs_alpha_below_two():
+    # at alpha = 2 the small-jump variance divides by 2 - alpha = 0
+    with pytest.raises(ValueError, match="alpha = 2 has no jumps to truncate"):
+        LevyMeasureSpec(kind="truncated_stable", alpha=2.0, cutoff=1.0)
+    LevyMeasureSpec(kind="truncated_stable", alpha=float(np.nextafter(2.0, 0.0)), cutoff=1.0)
+
+
 @pytest.mark.parametrize("jump_dist", [
     (), ("uniform", 1.0), ("uniform", 2.0, 1.0), ("uniform", -1.0, 1.0),
     ("gaussian",), ("gaussian", 0.0), ("gaussian", 1.0, 2.0), ("gaussian", "1"),

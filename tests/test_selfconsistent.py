@@ -16,13 +16,13 @@ from mvlevy import (
     stationary_density,
 )
 from mvlevy import selfconsistent
-from mvlevy.selfconsistent import (GAMMA_C, BetaCResult, GradientCase, _h_scan, _moments,
-                                   _support)
+from mvlevy.selfconsistent import (GAMMA_C, BetaCResult, GradientCase, _count_at, _h_scan,
+                                   _moments, _pieces)
 
 
 def _h_rows_reference(case, ms):
     """h / mass = mean - m at each m, by _moments on the row's own support."""
-    rows = [_moments(case, m, *_support(case, m)) for m in ms]
+    rows = [_moments(case, m) for m in ms]
     return np.array([h / mass for h, mass in rows])
 
 
@@ -31,7 +31,8 @@ def _quad_reference(case, m):
     density's modes and m as break points."""
     from scipy import integrate
 
-    lo, hi, fmax = _support(case, m)
+    a, b, fmax = _pieces(case, m)
+    lo, hi = a[0], b[-1]
     modes = np.roots([4.0, 0.0, -2.0 * case.beta, -case.gamma * m])
     pts = sorted({float(x.real) for x in modes if abs(x.imag) < 1e-9} | {m})
     pts = [x for x in pts if lo < x < hi] or None
@@ -98,8 +99,8 @@ class TestQuadrature:
                                                 (4.0, 0.001, 0.3)])
     def test_stationary_density_matches_adaptive_quadrature(self, gamma, beta, m):
         case = GradientCase(gamma, beta)
-        lo, hi, fmax = _support(case, m)
-        grid = np.linspace(lo, hi, 2001)
+        a, b, fmax = _pieces(case, m)
+        grid = np.linspace(a[0], b[-1], 2001)
         want = np.exp(case.exponent(grid, m) - fmax) / _quad_reference(case, m)[1]
         assert np.allclose(stationary_density(case, m, grid), want, rtol=1e-10, atol=0)
 
@@ -256,6 +257,22 @@ class TestBetaC:
         # the bisection's exact midpoints: a scan that moves any count it
         # takes moves these bits
         assert beta_c(gamma, tol).value == value
+
+
+class TestCountAt:
+    # the outer roots sit near +-sqrt(gamma/4 + beta/2); a scan range set
+    # from beta alone, max(6, 1.6 sqrt(beta)), missed them once that passed 6
+    @pytest.mark.parametrize("beta", [0.001, 1.0, 10.0])
+    @pytest.mark.parametrize("gamma", [150.0, 200.0, 500.0, 1e3, 1e4])
+    def test_large_gamma_counts_three(self, gamma, beta):
+        assert _count_at(gamma, beta) == 3
+
+    @pytest.mark.parametrize("gamma, beta", [(150.0, 1.0), (1e4, 1.0)])
+    def test_outer_root_near_its_estimate(self, gamma, beta):
+        roots = root_count(GradientCase(gamma, beta), np.sqrt(gamma), 1000,
+                           refine=False)["roots"]
+        assert len(roots) == 3
+        assert roots[-1] == pytest.approx(np.sqrt(gamma / 4.0 + beta / 2.0), rel=0.01)
 
 
 class TestStationaryDensity:
