@@ -15,7 +15,8 @@ from scipy.stats import ks_2samp
 from mvlevy import rng as mvrng
 from mvlevy.errors import (DivergentMoment, InfiniteOverlap, InvalidRegion,
                            SigmaViolatesH2)
-from mvlevy.levy import (BALL, COMPLEMENT, J, LevyMeasureSpec, SigmaSpec,
+from mvlevy.levy import (BALL, COMPLEMENT, STABLE_BLOCK, J, LevyMeasureSpec,
+                         SigmaSpec, _positive_stable, _unit_stable_1d,
                          overlap_mass, sample_increment, sphere_area,
                          stable_constant, tail_moment, unit_isotropic_stable)
 
@@ -293,6 +294,114 @@ def test_sampler_isotropy_d2():
     u = np.array([1.0, 0.0])
     v = np.array([1.0, 1.0]) / math.sqrt(2.0)
     assert ks_2samp(draws @ u, draws @ v).pvalue > 0.01
+
+
+def _cms_float64(alpha, u, w):
+    """The Chambers-Mallows-Stuck draw written out in float64: the oracle."""
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+
+
+def _kanter_float64(alpha1, u, w):
+    """Kanter's positive-stable draw written out in float64: the oracle."""
+    a_u = (np.sin((1.0 - alpha1) * u)
+           * np.sin(alpha1 * u) ** (alpha1 / (1.0 - alpha1))
+           / np.sin(u) ** (1.0 / (1.0 - alpha1)))
+    return (a_u / w) ** ((1.0 - alpha1) / alpha1)
+
+
+def _float32_sine_rtol(alpha):
+    # each float32 sine is within 1.2e-7 relative; the draw raises the three
+    # to the powers 1, -1/alpha and (1 - alpha)/alpha
+    return 1.2e-7 * (1.0 + (1.0 + abs(1.0 - alpha)) / alpha)
+
+
+class _FixedAngles:
+    """Generator stand-in that returns the given u and w arrays."""
+
+    def __init__(self, u, w):
+        self.u, self.w = np.asarray(u, dtype=float), np.asarray(w, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert size == self.u.size
+        return self.u
+
+    def standard_exponential(self, size):
+        assert size == self.w.size
+        return self.w
+
+
+def _angle_grid(near):
+    """(u, w) pairs: u within 1e-16 of each point in near, through the
+    interior and within 1e-12 of 0; w from 1e-8 to 40."""
+    gaps = np.concatenate([np.geomspace(1e-16, 1.5, 300), np.linspace(0.01, 1.5, 60)])
+    u = np.concatenate([np.abs(c - gaps) for c in near] + [np.geomspace(1e-12, 1.0, 40)])
+    u, w = np.meshgrid(u, np.geomspace(1e-8, 40.0, 31))
+    return u.ravel(), w.ravel()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.2, 1.5, 1.8, 1.99])
+def test_unit_stable_1d_matches_float64_formula(alpha):
+    u, w = _angle_grid([math.pi / 2.0])
+    u = np.concatenate([u, -u])
+    w = np.concatenate([w, w])
+    got = _unit_stable_1d(alpha, _FixedAngles(u, w), u.size)
+    ref = _cms_float64(alpha, u, w)
+    assert np.all(np.isfinite(ref)) and np.all(ref != 0.0)
+    assert np.max(np.abs(got / ref - 1.0)) <= _float32_sine_rtol(alpha)
+    # the left end of uniform(-pi/2, pi/2), where cos u is pi/2's rounding error
+    edge = _unit_stable_1d(alpha, _FixedAngles([-math.pi / 2.0], [1.0]), 1)
+    assert np.isfinite(edge[0]) and edge[0] < 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.8])
+def test_unit_stable_1d_blocks_do_not_shift_values(alpha):
+    u, w = _angle_grid([math.pi / 2.0])
+    u, w = u[:STABLE_BLOCK + 1], w[:STABLE_BLOCK + 1]
+    whole = _unit_stable_1d(alpha, _FixedAngles(u, w), u.size)
+    one_by_one = [_unit_stable_1d(alpha, _FixedAngles(u[i:i + 1], w[i:i + 1]), 1)[0]
+                  for i in range(u.size)]
+    assert np.array_equal(whole, one_by_one)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.2, 1.5, 1.8])
+def test_positive_stable_matches_float64_formula(alpha):
+    alpha1 = alpha / 2.0
+    u, w = _angle_grid([0.0, math.pi])
+    got = _positive_stable(alpha1, _FixedAngles(u, w), u.size)
+    ref = _kanter_float64(alpha1, u, w)
+    assert np.all(np.isfinite(ref)) and np.all(ref > 0.0)
+    assert np.max(np.abs(got / ref - 1.0)) <= _float32_sine_rtol(alpha1)
+
+
+def test_isotropic_stable_near_alpha_two_is_finite():
+    # the float64 powers sin(u)^{-1/(1 - alpha/2)} overflow for u near 0 and
+    # pi once alpha is close to 2; the logs do not
+    draws = unit_isotropic_stable(1.99, 2, mvrng.stream(63), 200000)
+    assert np.all(np.isfinite(draws))
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8])
+def test_unit_stable_extreme_tail(alpha):
+    from scipy.stats import levy_stable
+
+    n = 2 * 10 ** 6
+    x = np.abs(unit_isotropic_stable(alpha, 1, mvrng.stream(62), n)[:, 0])
+    for level in (10.0, 100.0):
+        p = 2.0 * levy_stable.sf(level, alpha, 0.0)
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(x > level) - p) <= 4.0 * se, (level, np.mean(x > level), p)
+
+
+def test_stable_increment_draws_uniforms_then_exponentials():
+    # one uniform and one exponential per row, in that order: a stream's
+    # position after a call does not depend on how the sampler is written
+    n = 2 * STABLE_BLOCK + 3
+    gen, twin = mvrng.stream(64), mvrng.stream(64)
+    sample_increment(LevyMeasureSpec(alpha=1.8), 0.01, gen, size=n)
+    twin.uniform(size=n)
+    twin.standard_exponential(n)
+    assert np.array_equal(gen.random(8), twin.random(8))
 
 
 def test_sampler_determinism():
