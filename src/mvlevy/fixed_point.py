@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import lyapunov_exponents
-from .errors import MvLevyError, NoiseFloorExceedsTol, _check_types
+from .errors import DimensionMismatch, MvLevyError, NoiseFloorExceedsTol, _check_types
 from .measures import EmpiricalMeasure, concentration, moment, w1
 from .simulate import SimConfig, frozen_trajectory
 from . import rng as _rng
@@ -133,9 +133,17 @@ def multiplicity_search(drift, levy, seeds, M_star, cfg):
     A pair (i, j) is distinct when both final measures keep more than half
     their mass within |y_i - y_j|/2 of their own center and their W1 gap
     exceeds max(2 * noise floor, w1_tol), where the floor is the larger of
-    the two runs' split-chain floors (see iterate_lambda).
+    the two runs' split-chain floors (see iterate_lambda).  Raises
+    DimensionMismatch before any run when the noise or a seed does not have
+    the drift's dimension.
     """
     seeds = [np.atleast_1d(np.asarray(s, dtype=float)) for s in seeds]
+    if levy.dim != drift.dim:
+        raise DimensionMismatch(f"noise has dim {levy.dim}, drift wants {drift.dim}")
+    for s in seeds:
+        if s.shape != (drift.dim,):
+            raise DimensionMismatch(f"seed {s.tolist()} has shape {s.shape}, "
+                                    f"drift wants ({drift.dim},)")
     k = len(seeds)
     if k >= 2:
         min_gap = min(float(np.linalg.norm(a - b))

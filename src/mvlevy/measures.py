@@ -22,13 +22,21 @@ SLICE_SEED = 987654321
 def _write_csv(path, header, rows):
     """Write header and rows, a table of numbers, to path: every value %.17g
     (exact round trip), in csv.writer's default dialect.  Rows are
-    formatted a block at a time, so the text in memory stays small."""
+    formatted a block at a time, so the text in memory stays small.
+
+    A column whose values all have the first row's 64-bit pattern (say the
+    weight column of a uniform measure) is formatted once, into the row
+    template.  Columns are compared by bits, not by value, because -0.0 and
+    0.0 are equal but print differently."""
     data = np.reshape(np.asarray(rows, dtype=float), (-1, len(header)))
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    first = data[:1]
+    same = (data.view(np.int64) == first.view(np.int64)).all(axis=0) & (len(data) > 0)
+    row = ",".join("%.17g" % first[0, j] if s else "%.17g"
+                   for j, s in enumerate(same)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(0, len(data), 4096):
-            block = data[i:i + 4096]
+            block = data[i:i + 4096, ~same]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

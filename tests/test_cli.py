@@ -167,6 +167,20 @@ class TestMultiplicity:
         assert "n_chains >= 2" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("overrides", [
+        ["--set", "seeds=[[1.0, 0.0], [-1.0, 2.0]]"],
+        ["--set", "seeds=[[1.0], [-1.0]]", "--set", "levy.dim=2"],
+        ["--set", "seeds=[[1.0], [1.0, 2.0]]"],
+    ])
+    def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys, overrides):
+        # each seed and the noise must have the drift's dimension; no run
+        # records the mismatch as a per-seed error
+        assert main(["multiplicity", *FP_RUN, *overrides,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "drift wants" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
 class TestCheck:
     LEVY = {"kind": "stable", "alpha": 1.8, "scale": 0.025}
 

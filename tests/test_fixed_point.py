@@ -14,6 +14,7 @@ import pytest
 from mvlevy import (
     A1Params,
     Blowup,
+    DimensionMismatch,
     DriftSpec,
     EmpiricalMeasure,
     FixedPointConfig,
@@ -235,6 +236,19 @@ class TestMultiplicitySearch:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             multiplicity_search(DW, BM, [[1.0], [1.0]], 0.05, self.CFG)
+
+    @pytest.mark.parametrize("levy, seeds", [
+        (BM, [[1.0, 0.0], [-1.0, 2.0]]),
+        (LevyMeasureSpec(alpha=2.0, scale=0.1, dim=2), [[1.0], [-1.0]]),
+        (BM, [[1.0], [1.0, 2.0]]),  # broadcasts through the gap check
+    ])
+    def test_dimension_mismatch_raises_before_any_run(self, monkeypatch, levy, seeds):
+        def run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(fixed_point, "iterate_lambda", run)
+        with pytest.raises(DimensionMismatch):
+            multiplicity_search(DW, levy, seeds, 0.05, self.CFG)
 
     def test_partial_errors_recorded(self):
         # an impossible tolerance fails every branch but the report survives

@@ -91,19 +91,14 @@ class TestEmpiricalMeasure:
         assert np.array_equal(back.points, m.points)
         assert np.array_equal(back.weights, m.weights)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_csv_bytes_match_csv_writer(self, tmp_path, d):
-        # more rows than one write block, with signed zeros and wide exponents
-        n = 9000
-        gen = np.random.default_rng(4 + d)
-        pts = gen.normal(size=(n, d)) * 10.0 ** gen.integers(-30, 30, size=(n, d))
-        pts[:3, 0] = [-0.0, 0.0, 1.0]
-        w = gen.uniform(0.1, 1.0, size=n)
-        m = EmpiricalMeasure(pts, w / w.sum())
+    @staticmethod
+    def _assert_csv_writer_bytes(tmp_path, m):
+        """m.to_csv writes what csv.writer writes from %.17g strings, and
+        reads back bit for bit."""
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["weight"] + [f"x_{i+1}" for i in range(d)])
+            wr.writerow(["weight"] + [f"x_{i+1}" for i in range(m.dim)])
             for wi, x in zip(m.weights, m.points):
                 wr.writerow([f"{wi:.17g}"] + [f"{xi:.17g}" for xi in x])
         path = tmp_path / "m.csv"
@@ -113,6 +108,34 @@ class TestEmpiricalMeasure:
         assert np.array_equal(back.points, m.points)
         assert np.array_equal(back.weights, m.weights)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, d):
+        # more rows than one write block, with signed zeros and wide exponents
+        n = 9000
+        gen = np.random.default_rng(4 + d)
+        pts = gen.normal(size=(n, d)) * 10.0 ** gen.integers(-30, 30, size=(n, d))
+        pts[:3, 0] = [-0.0, 0.0, 1.0]
+        w = gen.uniform(0.1, 1.0, size=n)
+        self._assert_csv_writer_bytes(tmp_path, EmpiricalMeasure(pts, w / w.sum()))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_uniform_csv_bytes_match_csv_writer(self, tmp_path, d):
+        # the weight column of from_samples holds one value, written once
+        gen = np.random.default_rng(40 + d)
+        m = EmpiricalMeasure.from_samples(gen.normal(size=(9000, d)))
+        assert np.all(m.weights == m.weights[0])
+        self._assert_csv_writer_bytes(tmp_path, m)
+
+    @staticmethod
+    def _assert_row_format_bytes(tmp_path, header, data):
+        """_write_csv writes the header, then each row through one %.17g
+        row format."""
+        row = ",".join(["%.17g"] * len(header)) + "\r\n"
+        ref = ",".join(header) + "\r\n" + "".join(row % tuple(r) for r in data.tolist())
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, data)
+        assert path.read_bytes() == ref.encode()
+
     @pytest.mark.parametrize("n", [4096, 2 * 4096, 4096 + 7, 5])
     def test_block_format_matches_row_format(self, tmp_path, n):
         specials = [-0.0, 5e-324, 1e308, 1.0 / 3.0, -1e308, 0.0, -5e-324]
@@ -121,11 +144,33 @@ class TestEmpiricalMeasure:
         flat = data.ravel()
         flat[:len(specials)] = specials
         flat[-len(specials):] = specials
-        row = "%.17g,%.17g,%.17g\r\n"
-        ref = "a,b,c\r\n" + "".join(row % tuple(r) for r in data.tolist())
-        path = tmp_path / "t.csv"
-        _write_csv(path, ["a", "b", "c"], data)
-        assert path.read_bytes() == ref.encode()
+        self._assert_row_format_bytes(tmp_path, ["a", "b", "c"], data)
+
+    @staticmethod
+    def _constant_case(name):
+        """A 9000 x 3 table of the named case, set in the middle column
+        unless the name is about the whole table."""
+        data = np.random.default_rng(9000).normal(size=(9000, 3))
+        col = data[:, 1]
+        if name == "negative zeros":
+            col[:] = -0.0
+        elif name == "signed zeros":  # equal as floats, printed apart
+            col[:] = 0.0
+            col[1::3] = -0.0
+        elif name == "differs after one block":
+            col[:] = 1.0 / 3.0
+            col[4096] = np.nextafter(1.0 / 3.0, 1.0)
+        elif name == "all constant":
+            data[:] = [-0.0, 1.0 / 3.0, 5e-324]
+        elif name == "no rows":
+            data = data[:0]
+        return data
+
+    @pytest.mark.parametrize("name", ["negative zeros", "signed zeros",
+                                      "differs after one block", "all constant",
+                                      "no rows"])
+    def test_constant_columns_match_row_format(self, tmp_path, name):
+        self._assert_row_format_bytes(tmp_path, ["a", "b", "c"], self._constant_case(name))
 
 
 class TestMoment:
