@@ -122,7 +122,8 @@ class CaseViolation(MvLevyError):
 
 
 class QuadratureFailure(MvLevyError):
-    """An integral could not be evaluated to its tolerance, or at all."""
+    """An integral could not be evaluated to its tolerance, or at all, or
+    a root of one could not be bracketed."""
 
 
 class GridTooCoarse(MvLevyError):

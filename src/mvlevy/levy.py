@@ -158,12 +158,47 @@ BALL = "ball"
 COMPLEMENT = "complement"
 
 
+def _gamma_pq(k, x):
+    """(P, Q), the regularized incomplete gamma functions P(k, x) and
+    Q(k, x) = 1 - P(k, x) for k > 0 and x >= 0.  The smaller side comes
+    directly: P by its power series for x < k + 1, Q otherwise by its
+    continued fraction, evaluated by modified Lentz; there every partial
+    denominator exceeds 3, so no step needs a zero guard."""
+    if x == 0.0:
+        return 0.0, 1.0
+    front = math.exp(k * math.log(x) - x - math.lgamma(k))
+    if x < k + 1.0:
+        term = total = 1.0 / k
+        n = k
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        return front * total, 1.0 - front * total
+    b = x + 1.0 - k
+    c, d = math.inf, 1.0 / b
+    frac = d
+    for i in range(1, 1000):
+        an = -i * (i - k)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        frac *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return 1.0 - front * frac, front * frac
+
+
 def tail_moment(spec, p, region, l):
     """Moment of the Levy measure restricted to a ball or its complement.
 
     Returns nu(|.|^p 1_{|.|<=l}) for region "ball" and nu(|.|^p 1_{|.|>l})
-    for region "complement".  Closed form for stable kinds, quadrature for
-    compound Poisson.  alpha = 2 has no jump part and gives 0.
+    for region "complement", in closed form for every kind.  Stable kinds
+    integrate their power law.  Gaussian jumps in R^d have
+    |z|^2 / (2 std^2) ~ Gamma(d/2), so the moment is
+    rate (sqrt(2) std)^p Gamma(k) / Gamma(d/2) times P(k, l^2 / (2 std^2))
+    (ball) or Q (complement), k = (p + d)/2; uniform jump sizes integrate
+    r^p over [lo, hi] cut at l.  alpha = 2 has no jump part and gives 0.
     """
     if l <= 0:
         raise InvalidRegion(f"radius l must be positive, got {l}")
@@ -172,15 +207,19 @@ def tail_moment(spec, p, region, l):
     if p < 0:
         raise ValueError("p must be nonnegative")
     if spec.kind == COMPOUND:
-        from scipy import integrate
-
-        # integrate over the radial support only: quadrature on [l, inf)
-        # can step over a narrow uniform law and return 0
-        lo, hi = spec.jump_dist[1:] if spec.jump_dist[0] == "uniform" else (0.0, np.inf)
+        name, *params = spec.jump_dist
+        if name == "gaussian":
+            std, d = params[0], spec.dim
+            k = (p + d) / 2.0
+            inside, outside = _gamma_pq(k, l * l / (2.0 * std * std))
+            return (spec.rate * (math.sqrt(2.0) * std) ** p
+                    * math.exp(math.lgamma(k) - math.lgamma(d / 2.0))
+                    * (inside if region == BALL else outside))
+        lo, hi = params
         a, b = (lo, min(l, hi)) if region == BALL else (max(l, lo), hi)
         if a >= b:
             return 0.0
-        return integrate.quad(lambda r: r ** p * spec.radial_density(r), a, b)[0]
+        return spec.rate * (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (hi - lo))
     if spec.alpha >= 2.0:
         return 0.0
     a = spec.alpha
@@ -209,43 +248,45 @@ def tail_moment(spec, p, region, l):
 
 def overlap_mass(spec, x):
     """Total mass of nu ^ (delta_x * nu), i.e. the integral of
-    min(nu(z), nu(z - x)) dz.
+    min(nu(z), nu(z - x)) dz, in closed form.
 
     Finite for stable specs as soon as x != 0; the min removes both
-    singularities.  A stable density is radially decreasing, so the min
-    picks the center farther from z and the overlap is 2 nu of the
-    halfspace beyond the bisector plane, in closed form in every
-    dimension.  Truncated and compound kinds are integrated by quadrature
-    in d = 1, split at the singular points 0, x and the crossover x/2.
+    singularities.  A radially non-increasing density (every kind but
+    uniform jumps) makes the min pick the center farther from z, so the
+    overlap is 2 nu of the halfspace beyond the bisector plane.  Uniform
+    jump sizes in d = 1 have density rate / (2 (hi - lo)) on
+    A = [-hi, -lo] u [lo, hi], so the overlap is that density times the
+    length of A n (A + x).  Truncated and uniform specs in d >= 2 raise
+    QuadratureFailure.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(x))
-    if r == 0.0:
-        if spec.kind == COMPOUND:
-            return spec.rate
+    if spec.kind == COMPOUND and spec.jump_dist[0] == "gaussian":
+        # 2 rate P(N(0, std^2) > r/2) in every dimension
+        return spec.rate * math.erfc(r / (2.0 * math.sqrt(2.0) * spec.jump_dist[1]))
+    if spec.kind != COMPOUND:
         if spec.alpha >= 2.0:
             return 0.0
-        raise InfiniteOverlap("overlap at x = 0 is the (infinite) total mass")
-    if spec.kind != COMPOUND and spec.alpha >= 2.0:
-        return 0.0
+        if r == 0.0:
+            raise InfiniteOverlap("overlap at x = 0 is the (infinite) total mass")
+    a = spec.alpha
     if spec.kind == STABLE:
         # nu({z . x/|x| > r/2}) = C A (r/2)^{-alpha} / alpha, A = 1 in d = 1
-        a = spec.alpha
         d = spec.dim
         A = (math.pi ** ((d - 1) / 2.0) * math.gamma((a + 1.0) / 2.0)
              / math.gamma((d + a) / 2.0))
         return 2.0 * spec.density_constant * A * (r / 2.0) ** (-a) / a
     if spec.dim > 1:
         raise QuadratureFailure("overlap unsupported for this spec in d >= 2")
-    from scipy import integrate
-
-    def integrand(z):
-        return min(float(spec.levy_density([z])[0]),
-                   float(spec.levy_density([z - r])[0]))
-
-    return float(sum(integrate.quad(integrand, lo, hi, limit=200)[0]
-                     for lo, hi in [(-np.inf, 0.0), (0.0, r / 2.0), (r / 2.0, r),
-                                    (r, np.inf)]))
+    if spec.kind == TRUNCATED:
+        # nu({z > r/2}) = C ((r/2)^{-alpha} - R^{-alpha})^+ / alpha
+        return (2.0 * spec.density_constant
+                * max(0.0, (r / 2.0) ** (-a) - spec.cutoff ** (-a)) / a)
+    lo, hi = spec.jump_dist[1:]
+    arms = ((-hi, -lo), (lo, hi))
+    meet = sum(max(0.0, min(b1, b2 + r) - max(a1, a2 + r))
+               for a1, b1 in arms for a2, b2 in arms)
+    return spec.rate * meet / (2.0 * (hi - lo))
 
 
 def J(spec, r):

@@ -167,10 +167,28 @@ def _h_scan(case, m_max, grid_n):
             np.concatenate((-hs[::-1][:grid_n // 2], hs)))
 
 
+def _bisect(case, a, b):
+    """A root of h_fn in the scan cell [a, b], bisected to width 1e-8.
+    QuadratureFailure names the cell when h_fn does not change sign on it:
+    the scan saw a sign change there that h_fn does not."""
+    fa = h_fn(case, a)
+    if fa * h_fn(case, b) > 0.0:
+        raise QuadratureFailure(f"h_fn does not change sign on the scan cell "
+                                f"[{a:.10g}, {b:.10g}]")
+    for _ in range(math.ceil(math.log2((b - a) / 1e-8))):
+        mid = 0.5 * (a + b)
+        f_mid = h_fn(case, mid)
+        if fa * f_mid > 0.0:
+            a, fa = mid, f_mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def root_count(case, m_max, grid_n, refine=True):
     """Sign-change scan of h on [-m_max, m_max]; each root is refined by
-    Brent's method on h_fn, or with refine=False interpolated linearly.
-    Tangential near-zeros without a sign flip are not counted.
+    bisecting h_fn on its scan cell, or with refine=False interpolated
+    linearly.  Tangential near-zeros without a sign flip are not counted.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
@@ -181,9 +199,7 @@ def root_count(case, m_max, grid_n, refine=True):
             roots.append(float(ms[i]))
         elif hs[i] * hs[i + 1] < 0.0:
             if refine:
-                from scipy.optimize import brentq
-
-                r = brentq(lambda m: h_fn(case, m), ms[i], ms[i + 1], xtol=1e-8)
+                r = _bisect(case, ms[i], ms[i + 1])
             else:
                 r = ms[i] - hs[i] * (ms[i + 1] - ms[i]) / (hs[i + 1] - hs[i])
             roots.append(float(r))

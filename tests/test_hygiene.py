@@ -1,11 +1,12 @@
 """Source hygiene: no module imports a name it never uses, no function
 binds a local name it never reads, no option goes unset by every caller,
 no random stream is keyed by an integer offset, every config field has a
-type the checker knows, and neither the CLI import nor the benchmarked
-commands load a scipy submodule (scipy.integrate, scipy.optimize and
-scipy.stats each cost most of a second of CLI start-up)."""
+type the checker knows, and no module imports scipy, a test-only
+dependency: every CLI command gives its usual exit code with scipy
+blocked."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -38,58 +39,88 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
 
 
-def _scipy_modules_after(code, tmp_path=None):
-    """The scipy submodules loaded after running code in a fresh interpreter
-    that imports mvlevy from src/; code must not print."""
+def _scipy_imports(tree):
+    """Lines of the statements in tree that import scipy or a submodule of
+    it, at module level or inside a function."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Import)
+                  and any(a.name.split(".")[0] == "scipy" for a in n.names)
+                  or isinstance(n, ast.ImportFrom) and n.level == 0
+                  and n.module.split(".")[0] == "scipy")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy is a test-only dependency: every functional has a closed form
+    lines = _scipy_imports(ast.parse(path.read_text()))
+    assert not lines, f"{path.name}: scipy imported on lines {lines}"
+
+
+def test_scipy_import_check_sees_every_form():
+    tree = ast.parse(
+        "import numpy, scipy\n"
+        "import scipy.stats as st\n"
+        "from scipy import integrate\n"
+        "from scipy.optimize import brentq\n"
+        "from . import scipy_like\n"
+        "from .scipy import x\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    from scipy.special import gammainc\n")
+    assert _scipy_imports(tree) == [1, 2, 3, 4, 9]
+
+
+_SIM = '{"dt": 0.002, "T": 2.0, "n_chains": 20, "thin": 10, "seed": 3}'
+_SIGMA_APPENDIX = {"K1": 1.0, "K2": 0.5, "K3": 1.0, "kappa": 1.0, "l0": 1.0, "C_V": 2.0,
+                   "lambda_V": 0.5, "sigma_knots": [[0.01, 0.05], [2.0, 0.25]]}
+# every command, with the exit code it gives when scipy is installed
+SCIPY_FREE_RUNS = [
+    (["sample", "--set", "seed=1", "--set", "n=2000", "--set",
+      'levy={"kind": "truncated_stable", "alpha": 1.2, "cutoff": 2.0, "dim": 2}'], 0),
+    (["sample", "--set", "seed=1", "--set", "n=2000", "--set",
+      'levy={"kind": "compound_poisson", "rate": 3.0, "dim": 2, '
+      '"jump_dist": ["uniform", 0.5, 1.5]}'], 0),
+    (["simulate", "--set", 'levy={"alpha": 1.5}',
+      "--set", 'drift={"family": "mean_field_ou", "lam": 2.0}', "--set", f"sim={_SIM}"], 0),
+    (["fixpoint", "--set", 'levy={"alpha": 2.0}',
+      "--set", 'drift={"family": "mean_field_ou", "lam": 2.0}', "--set", f"sim={_SIM}",
+      "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.3}'], 0),
+    (["multiplicity", "--set", 'levy={"alpha": 1.8, "scale": 0.05}',
+      "--set", 'drift={"family": "double_well", "lam": 1.0, "kappa": 1.0, '
+               '"a1": -1.0, "a2": 1.0}', "--set", f"sim={_SIM}",
+      "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.3}',
+      "--set", "seeds=[[-1.0], [1.0]]"], 0),
+    (["check", "--set", 'levy={"kind": "compound_poisson", "alpha": 1.8, "rate": 2.0, '
+                        '"jump_dist": ["gaussian", 0.3]}',
+      "--set", 'ex14={"lam": 1.0, "kappa": 4.5, "beta": 1.2, "eps": 1e-4, "r0": 0.24975, '
+               '"a1": -1.0, "a2": 1.0}',
+      "--set", 'm_star={"C_b": 1.0, "lam1": 1.0, "lam2": 0.5, "theta1": 3.0, "theta2": 1.0, '
+               '"theta3": 1.0, "theta4": 1.0, "beta": 1.2}'], 0),
+    (["selfconsistent", "--gamma", "2", "--beta", "1"], 0),
+    (["selfconsistent", "--gamma", "2", "--beta-scan", "0.5:1.5:0.5"], 0),
+    (["constants", "--set", 'levy={"kind": "truncated_stable", "alpha": 1.5, "cutoff": 3.0}',
+      "--set", f"appendix={json.dumps(_SIGMA_APPENDIX)}"], 0),
+]
+
+
+def test_cli_commands_run_with_scipy_blocked(tmp_path):
+    # one fresh interpreter in which importing scipy fails; the check and
+    # constants runs take compound tail moments and the truncated overlap
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
                                                       env.get("PYTHONPATH")]))
+    runs = [[*argv, "--out", str(tmp_path / str(i))]
+            for i, (argv, _) in enumerate(SCIPY_FREE_RUNS)]
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, mvlevy, mvlevy.cli\n{code}\n"
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"],
+         "import json, sys\n"
+         "sys.modules['scipy'] = None\n"
+         "import mvlevy.cli\n"
+         f"codes = [mvlevy.cli.main(argv) for argv in {runs!r}]\n"
+         "print(json.dumps(codes))"],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-def test_cli_import_does_not_load_scipy_stats():
-    # nor scipy.integrate or scipy.optimize: no scipy submodule at all
-    assert _scipy_modules_after("") == "[]"
-
-
-@pytest.mark.parametrize("argv", [
-    ["fixpoint", "--set", 'levy={"alpha": 2.0}',
-     "--set", 'drift={"family": "mean_field_ou", "lam": 2.0}',
-     "--set", 'sim={"dt": 0.002, "T": 2.0, "n_chains": 200, "thin": 10, "seed": 3}',
-     "--set", 'fixed_point={"max_iter": 3, "w1_tol": 0.3}'],
-    ["multiplicity", "--set", 'levy={"alpha": 1.8, "scale": 0.05}',
-     "--set", 'drift={"family": "double_well", "lam": 1.0, "kappa": 1.0, '
-              '"a1": -1.0, "a2": 1.0}',
-     "--set", 'sim={"dt": 0.002, "T": 2.0, "n_chains": 50, "thin": 10, "seed": 3}',
-     "--set", 'fixed_point={"max_iter": 2, "w1_tol": 0.3}',
-     "--set", "seeds=[[-1.0], [1.0]]"],
-    ["selfconsistent", "--gamma", "2", "--beta", "1"],
-    ["sample", "--set", "seed=1", "--set", "n=2000", "--set",
-     'levy={"kind": "truncated_stable", "alpha": 1.2, "cutoff": 2.0, "dim": 2}'],
-    ["sample", "--set", "seed=1", "--set", "n=2000", "--set",
-     'levy={"kind": "compound_poisson", "rate": 3.0, "dim": 2, '
-     '"jump_dist": ["uniform", 0.5, 1.5]}'],
-], ids=["fixpoint", "multiplicity", "selfconsistent", "sample-truncated",
-        "sample-compound"])
-def test_cli_commands_load_no_scipy_submodule(tmp_path, argv):
-    # the commands the benchmark runs: beta_star in fixpoint and
-    # multiplicity, h_fn in selfconsistent --beta; and the jump samplers'
-    # shared compound-Poisson routine
-    code = f"assert mvlevy.cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0"
-    assert _scipy_modules_after(code, tmp_path) == "[]"
-
-
-def test_C_b_search_loads_no_scipy_submodule():
-    # the double-well benchmark takes M_star from lyapunov_params
-    assert _scipy_modules_after(
-        "mvlevy.lyapunov_params(mvlevy.DriftSpec('double_well', lam=1.0, kappa=4.5, "
-        "a1=-1.0, a2=1.0), beta=1.5)") == "[]"
+    assert json.loads(proc.stdout) == [code for _, code in SCIPY_FREE_RUNS], proc.stderr
 
 
 def _own_stores(fn):

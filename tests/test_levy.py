@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma as Gamma
+from scipy.special import gammainc, gammaincc
 from scipy.stats import ks_2samp
 
 from mvlevy import rng as mvrng
@@ -185,8 +186,9 @@ def test_overlap_2d_against_riemann_sum():
 
 
 def test_overlap_truncated_1d_against_riemann_sum():
-    # the quadrature branch: truncation at R = 3 cuts the support of the
-    # min to [x - R, R], with jumps at both ends and a kink at x/2
+    # the halfspace power law cut at R: truncation at R = 3 cuts the
+    # support of the min to [x - R, R], with jumps at both ends and a kink
+    # at x/2
     spec = LevyMeasureSpec(kind="truncated_stable", alpha=1.5, scale=1.0, cutoff=3.0)
     x = 1.2
     lo, hi = x - 3.0, 3.0
@@ -198,6 +200,67 @@ def test_overlap_truncated_1d_against_riemann_sum():
     # truncation only removes mass from the stable overlap
     stable = overlap_mass(LevyMeasureSpec(alpha=1.5, scale=1.0), [x])
     assert overlap_mass(spec, [x]) < stable
+
+
+def _riemann_overlap_1d(spec, x, lo, hi, n):
+    """Midpoint sum of min(nu(z), nu(z - x)) over [lo, hi] in n cells."""
+    z = lo + (np.arange(n) + 0.5) * (hi - lo) / n
+    dens = np.minimum(spec.levy_density(z[:, None]), spec.levy_density(z[:, None] - x))
+    return float(dens.sum() * (hi - lo) / n)
+
+
+@pytest.mark.parametrize("x", [0.3, 1.1, 3.0])
+def test_overlap_gaussian_1d_against_riemann_sum(x):
+    spec = LevyMeasureSpec(kind="compound_poisson", rate=2.0,
+                           jump_dist=("gaussian", 0.8))
+    riemann = _riemann_overlap_1d(spec, x, -8.0, 8.0 + x, 400000)
+    assert overlap_mass(spec, [x]) == pytest.approx(riemann, rel=1e-8)
+
+
+def test_overlap_gaussian_2d_against_riemann_sum():
+    # rate erfc(|x| / (2 sqrt(2) std)) in every dimension
+    spec = LevyMeasureSpec(kind="compound_poisson", rate=2.0, dim=2,
+                           jump_dist=("gaussian", 0.8))
+    x = np.array([0.9, 0.6])
+    gs = np.linspace(-6.0, 6.0, 1201)
+    dz = gs[1] - gs[0]
+    Z = np.stack(np.meshgrid(gs, gs, indexing="ij"), axis=-1).reshape(-1, 2)
+    riemann = float(np.sum(np.minimum(spec.levy_density(Z), spec.levy_density(Z - x)))
+                    * dz * dz)
+    assert overlap_mass(spec, x) == pytest.approx(riemann, rel=1e-5)
+
+
+@pytest.mark.parametrize("lo, hi, x", [
+    (0.5, 1.5, 0.001), (0.5, 1.5, 0.3), (0.5, 1.5, 1.2), (0.5, 1.5, 2.0),
+    (0.5, 1.5, 2.6), (0.5, 1.5, 3.5), (1.0, 1.2, 0.001), (0.0, 1.0, 0.001)])
+def test_overlap_uniform_1d_against_riemann_sum(lo, hi, x):
+    # the shifted copy of [-hi, -lo] u [lo, hi] meets the same arm (small
+    # x), the opposite one (x = 1.2, 2.0, 2.6 on [0.5, 1.5]) or neither
+    # (x = 3.5); a narrow law, or arms that touch at 0, is where adaptive
+    # quadrature over the half-lines can miss an arm
+    spec = LevyMeasureSpec(kind="compound_poisson", rate=3.0,
+                           jump_dist=("uniform", lo, hi))
+    riemann = _riemann_overlap_1d(spec, x, -hi - 0.5, hi + 0.5 + x, 800000)
+    assert overlap_mass(spec, [x]) == pytest.approx(riemann, rel=1e-4, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_tail_moment_against_incomplete_gamma(dim):
+    # |z|^2 / (2 std^2) ~ Gamma(d/2): the moment is rate (sqrt(2) std)^p
+    # Gamma(k) / Gamma(d/2) times P(k, l^2 / (2 std^2)) on the ball and Q
+    # outside it, k = (p + d)/2; l = 10 std is the far tail
+    std, rate = 0.7, 2.5
+    spec = LevyMeasureSpec(kind="compound_poisson", rate=rate, dim=dim,
+                           jump_dist=("gaussian", std))
+    for p in (0.0, 0.5, 1.5, 3.0):
+        k = (p + dim) / 2.0
+        whole = rate * (math.sqrt(2.0) * std) ** p * Gamma(k) / Gamma(dim / 2.0)
+        for l in std * np.array([0.05, 0.5, 1.0, 2.0, 4.0, 10.0]):
+            y = l * l / (2.0 * std * std)
+            assert tail_moment(spec, p, BALL, l) == pytest.approx(
+                whole * gammainc(k, y), rel=1e-12)
+            assert tail_moment(spec, p, COMPLEMENT, l) == pytest.approx(
+                whole * gammaincc(k, y), rel=1e-12)
 
 
 def test_overlap_at_zero():

@@ -147,6 +147,14 @@ class TestRootCount:
         # refined roots are actual zeros of h
         assert abs(h_fn(GradientCase(2.0, 3.0), r[2])) < 1e-6
 
+    def test_cell_without_sign_change_is_quadrature_failure(self):
+        # at gamma = 1e4 the scan's nodes barely reach the outer modes, so
+        # its sign change sits one cell off h_fn's root near -50: refining
+        # there finds no bracket and names the cell
+        with pytest.raises(QuadratureFailure,
+                           match=r"does not change sign on the scan cell \[-49\.9"):
+            root_count(GradientCase(1e4, 1.0), 100.0, 1000)
+
     def test_grid_too_coarse_near_transition(self):
         # just above the transition the outer roots sit within three cells
         # of the middle one on a 1000-point grid
