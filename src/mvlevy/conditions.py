@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (CaseViolation, NotInTheta, QuadratureFailure, ZeroOverlap,
                      _check_types)
-from .levy import BALL, COMPLEMENT, J, SigmaSpec, tail_moment
+from .levy import BALL, COMPLEMENT, STABLE, J, SigmaSpec, tail_moment
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,12 @@ def _jump_noise(levy, beta, eps):
     function of the radius r:
         2^{beta/2} nu_half r^{beta/2} + nu_beta + (beta/2) eps^{beta/2-1} nu_small
     with nu_half = nu(|.|^{beta/2} 1_{>1}), nu_beta = nu(|.|^beta 1_{>1}) and
-    nu_small = nu(|.|^2 1_{<=1}).  Checks beta in (1, alpha) and eps > 0."""
-    if not (1.0 < beta < levy.alpha):
+    nu_small = nu(|.|^2 1_{<=1}).  Checks beta > 1, eps > 0 and, for
+    stable noise, beta < alpha (below 2, nu_beta diverges from beta = alpha
+    on); truncated and compound Poisson noise have every moment finite."""
+    if not beta > 1.0:
+        raise ValueError("need beta > 1")
+    if levy.kind == STABLE and not beta < levy.alpha:
         raise ValueError("need beta in (1, alpha)")
     if eps <= 0:
         raise ValueError("eps must be positive")

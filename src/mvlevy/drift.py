@@ -95,36 +95,75 @@ def measure_stats(spec, mu):
     return stats
 
 
-def field_closure(spec, stats):
-    """Drift evaluator specialized to one family and one set of measure
-    stats: the one place the drift formulas are written.
-
-    Returns a function of an (n, d) state block.  The integrator calls it
-    once per Euler step, so the family branch is taken once, not per step.
-    """
+def _polynomial(spec, stats):
+    """(coefficients, remainder) of a one-dimensional family's drift:
+    b(x) = sum_k coefficients[k] x^(deg - k), highest power first, plus the
+    asymmetric cubic's term remainder = (weight, power), which adds
+    weight (1 + x^2)^power (None for the other families).  The one place
+    these drift formulas are written."""
     lam, kap = spec.lam, spec.kappa
     if spec.family == MEAN_FIELD_OU:
-        mean = stats["mean"][None, :]
-        return lambda X: mean - lam * X
+        return (-lam, stats["mean"]), None
     if spec.family == DOUBLE_WELL:
-        a1, a2, m = spec.a1, spec.a2, stats["mean"][0]
-        return lambda X: -lam * X * (X - a1) * (X - a2) - kap * (X - m)
-    if spec.family == ASYM_CUBIC:
-        b, am, gm = spec.beta, stats["abs_moment"], stats["g_moment"]
-        return lambda X: (-lam * X * (X - 1.0) * (X + 2.0)
-                          + kap * ((1.0 + X ** 2) ** ((b - 1.0) / 2.0) * am + gm))
-    y1 = np.asarray(spec.y1, dtype=float)
-    y2 = np.asarray(spec.y2, dtype=float)
-    mean = stats["mean"][None, :]
+        # -lam x (x - a1)(x - a2) - kap (x - m)
+        a1, a2 = spec.a1, spec.a2
+        return (-lam, lam * (a1 + a2), -(lam * a1 * a2 + kap),
+                kap * stats["mean"][0]), None
+    # -lam x (x - 1)(x + 2) + kap [(1 + x^2)^{(b-1)/2} mu(|.|) + mu(g)]
+    return ((-lam, -lam, 2.0 * lam, kap * stats["g_moment"]),
+            (kap * stats["abs_moment"], (spec.beta - 1.0) / 2.0))
 
-    def field(X):
-        d1 = X - y1
-        d2 = X - y2
-        n1 = np.sum(d1 ** 2, axis=1, keepdims=True)
-        n2 = np.sum(d2 ** 2, axis=1, keepdims=True)
-        return -(lam / 2.0) * (d1 * n2 + d2 * n1) - kap * (X - mean)
 
-    return field
+def field_closure(spec, stats):
+    """Drift evaluator specialized to one family and one set of measure
+    stats.
+
+    Returns field(X, out): the drift at an (n, d) state block X, written
+    into out, an array of X's shape that is not X, and returned.  The
+    integrator calls it once per Euler step, so the family branch is taken
+    once, not per step.  One-dimensional families evaluate the
+    coefficients of _polynomial by Horner's rule in place, and the
+    asymmetric cubic then adds its remainder.  The two-well is a vector
+    cubic, written here.
+    """
+    if spec.family == TWO_WELL:
+        lam, kap = spec.lam, spec.kappa
+        y1 = np.asarray(spec.y1, dtype=float)
+        y2 = np.asarray(spec.y2, dtype=float)
+        mean = stats["mean"][None, :]
+
+        def two_well(X, out):
+            d1 = X - y1
+            d2 = X - y2
+            n1 = np.sum(d1 ** 2, axis=1, keepdims=True)
+            n2 = np.sum(d2 ** 2, axis=1, keepdims=True)
+            np.multiply(d1, n2, out=out)
+            out += d2 * n1
+            out *= -(lam / 2.0)
+            out -= kap * (X - mean)
+            return out
+
+        return two_well
+    (top, second, *rest), remainder = _polynomial(spec, stats)
+
+    def horner(X, out):
+        np.multiply(X, top, out=out)
+        out += second
+        for c in rest:
+            out *= X
+            out += c
+        return out
+
+    if remainder is None:
+        return horner
+    weight, power = remainder
+
+    def asymmetric(X, out):
+        horner(X, out)
+        out += weight * (1.0 + X * X) ** power
+        return out
+
+    return asymmetric
 
 
 def affine_coefficients(spec, stats):
@@ -132,9 +171,10 @@ def affine_coefficients(spec, stats):
     in the state, else None.  Under stable noise this lets the integrator
     jump the Euler chain from one kept state to the next in a single
     update that is exact in law."""
-    if spec.family == MEAN_FIELD_OU:
-        return spec.lam, stats["mean"]
-    return None
+    if spec.family != MEAN_FIELD_OU:
+        return None
+    (slope, shift), _ = _polynomial(spec, stats)
+    return -slope, shift
 
 
 def eval_drift(spec, x, mu):
@@ -145,7 +185,8 @@ def eval_drift(spec, x, mu):
     if mu.dim != spec.dim:
         raise DimensionMismatch(f"measure has dim {mu.dim}, drift wants {spec.dim}")
     stats = measure_stats(spec, mu)
-    return field_closure(spec, stats)(x[None, :])[0]
+    X = x[None, :]
+    return field_closure(spec, stats)(X, np.empty_like(X))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +335,8 @@ def lyapunov_params(spec, beta=None, alpha=None):
 
     def resid(X):
         nx2 = np.sum(X * X, axis=1)
-        return (np.sum(X * field(X), axis=1) + p.lam1 * nx2 ** ((1.0 + p.theta1) / 2.0)
+        return (np.sum(X * field(X, np.empty_like(X)), axis=1)
+                + p.lam1 * nx2 ** ((1.0 + p.theta1) / 2.0)
                 + g_term * np.sqrt(nx2))
 
     return replace(p, C_b=max(_sup(resid, spec.dim) * 1.05, 1e-9))
@@ -312,7 +354,7 @@ def verify_E12(spec, params, grid, mus):
     for mi, mu in enumerate(mus):
         stats = measure_stats(spec, mu)
         m3 = moment(mu, params.theta3)
-        for xv, b in zip(X, field_closure(spec, stats)(X)):
+        for xv, b in zip(X, field_closure(spec, stats)(X, np.empty_like(X))):
             lhs = float(xv @ b)
             nx2 = float(xv @ xv)
             rhs = (params.C_b - params.lam1 * nx2 ** ((1.0 + params.theta1) / 2.0)

@@ -290,18 +290,24 @@ def overlap_mass(spec, x):
 
 
 def J(spec, r):
-    """inf over |x| <= r of the overlap mass.
+    """inf over 0 < |x| <= r of the overlap mass, exactly.
 
-    For unimodal symmetric densities the overlap decreases with separation,
-    so the infimum sits at |x| = r; a 5-point grid over (0, r] guards the
-    assumption and the grid minimum is returned on violation.
+    A radially non-increasing density (every kind but uniform jumps) makes
+    the overlap fall as |x| grows, so the infimum is the overlap at |x| = r.
+    The uniform jump law's overlap is piecewise linear in |x|, with kinks
+    where an end of one arm meets an end of the other arm shifted by x; so
+    its infimum is the least overlap at those kinks in (0, r] and at r.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     e1 = np.zeros(spec.dim)
     e1[0] = 1.0
-    vals = [overlap_mass(spec, s * e1) for s in np.linspace(r / 5.0, r, 5)]
-    return float(min(vals))
+    radii = [r]
+    if spec.kind == COMPOUND and spec.jump_dist[0] == "uniform":
+        lo, hi = spec.jump_dist[1:]
+        ends = (-hi, -lo, lo, hi)
+        radii += [p - q for p in ends for q in ends if 0.0 < p - q < r]
+    return float(min(overlap_mass(spec, s * e1) for s in radii))
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +345,27 @@ def _stable_power(alpha, x1, x2, x3, w):
                   + (1.0 - alpha) / alpha * (_log_sin(x3) - np.log(w)))
 
 
-def _unit_stable_1d(alpha, rng, size):
-    """Symmetric standard stable draws with CF exp(-|xi|^alpha) in d = 1.
+def _unit_stable_1d(alpha, rng, size, out=None):
+    """size symmetric standard stable draws with CF exp(-|xi|^alpha) in
+    d = 1, written into out (a new array when out is None) and returned.
 
     Chambers-Mallows-Stuck for alpha != 1:
     sin(alpha u) / cos(u)^{1/alpha} (cos((1 - alpha) u) / w)^{(1 - alpha)/alpha}
-    with u uniform on (-pi/2, pi/2) and w standard exponential, both float64.
+    with u uniform on (-pi/2, pi/2) and w standard exponential, both float64;
+    w is drawn into out, and each block of draws overwrites its own w.
     Its sine and two cosines are float32 sines of float64 arguments
     reduced to [0, pi/2] (cos v = sin(pi/2 - |v|)), so they keep their
     relative precision into the tail; the powers go through float64 log and
     exp.  A draw is within 1.2e-7 (1 + (1 + |1 - alpha|)/alpha) relative of
     the float64 expression: about 2.4e-7/alpha for alpha < 1 and 2.4e-7 above.
     """
+    if out is None:
+        out = np.empty(size)
     if alpha == 1.0:
-        return rng.standard_cauchy(size)
+        out[:] = rng.standard_cauchy(size)
+        return out
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-    w = rng.standard_exponential(size)
-    out = np.empty(size)
+    w = rng.standard_exponential(out=out)
     with np.errstate(divide="ignore"):  # u = 0 or w = 0 gives log 0 = -inf
         for start in range(0, size, STABLE_BLOCK):
             blk = slice(start, start + STABLE_BLOCK)
@@ -381,21 +391,32 @@ def _positive_stable(alpha1, rng, size):
     return _stable_power(alpha1, _fold(alpha1 * u), _fold(u), _fold((1.0 - alpha1) * u), w)
 
 
-def unit_isotropic_stable(alpha, dim, rng, size):
-    """size draws of the unit isotropic stable law, CF exp(-|xi|^alpha)."""
+def unit_isotropic_stable(alpha, dim, rng, size, out=None):
+    """size draws of the unit isotropic stable law, CF exp(-|xi|^alpha),
+    written into out, a C-contiguous float64 (size, dim) array (a new one
+    when out is None), and returned."""
+    if out is None:
+        out = np.empty((size, dim))
     if alpha == 2.0:
         # CF exp(-|xi|^2): Gaussian with variance 2 per coordinate
-        return rng.standard_normal((size, dim)) * math.sqrt(2.0)
-    if dim == 1:
-        return _unit_stable_1d(alpha, rng, size)[:, None]
-    s = _positive_stable(alpha / 2.0, rng, size)
-    return np.sqrt(2.0 * s)[:, None] * rng.standard_normal((size, dim))
+        rng.standard_normal(out=out)
+        out *= math.sqrt(2.0)
+    elif dim == 1:
+        _unit_stable_1d(alpha, rng, size, out[:, 0])
+    else:
+        s = _positive_stable(alpha / 2.0, rng, size)
+        rng.standard_normal(out=out)
+        out *= np.sqrt(2.0 * s)[:, None]
+    return out
 
 
-def sample_increment(spec, dt, rng, size=1):
-    """size increments of the driving process over a window of length dt.
+def sample_increment(spec, dt, rng, size=1, out=None):
+    """size increments of the driving process over a window of length dt,
+    written into out, a C-contiguous float64 (size, dim) array (a new one
+    when out is None), and returned.
 
-    Returns an array of shape (size, dim).  Pure stable kinds use exact
+    Every kind draws the same numbers in the same order whether out is
+    given or not.  Pure stable kinds use exact
     self-similar increments scale * dt^{1/alpha} * unit draw for alpha < 2.
     alpha = 2 is scale times standard Brownian motion, with variance
     scale^2 dt per coordinate; it is not the alpha -> 2- stable limit (or
@@ -411,21 +432,26 @@ def sample_increment(spec, dt, rng, size=1):
     if dt <= 0:
         raise ValueError("dt must be positive")
     d = spec.dim
+    if out is None:
+        out = np.empty((size, d))
     if spec.kind == STABLE:
         if spec.alpha == 2.0:
             # float32 draws: quantization ~1e-7 sits far below Monte Carlo
             # error at any feasible sample size, and generation is 2x faster
-            z = rng.standard_normal((size, d), dtype=np.float32).astype(np.float64)
-            return spec.scale * math.sqrt(dt) * z
-        return spec.scale * dt ** (1.0 / spec.alpha) * unit_isotropic_stable(
-            spec.alpha, d, rng, size)
+            out[:] = rng.standard_normal((size, d), dtype=np.float32)
+            out *= spec.scale * math.sqrt(dt)
+            return out
+        unit_isotropic_stable(spec.alpha, d, rng, size, out)
+        out *= spec.scale * dt ** (1.0 / spec.alpha)
+        return out
     if spec.kind == TRUNCATED:
         a, R = spec.alpha, spec.cutoff
         delta = 0.01 * R
         c = spec.density_constant * sphere_area(d)
         lam = c * (delta ** -a - R ** -a) / a
         small_var = c * delta ** (2.0 - a) / ((2.0 - a) * d)  # per coordinate
-        out = math.sqrt(small_var * dt) * rng.standard_normal((size, d))
+        rng.standard_normal(out=out)
+        out *= math.sqrt(small_var * dt)
 
         def jumps(n):
             # sizes by inverting the radial law's tail on [delta, R]
@@ -438,7 +464,8 @@ def sample_increment(spec, dt, rng, size=1):
         if name == "gaussian":
             return params[0] * rng.standard_normal((n, d))
         return _spread(rng.uniform(*params, n), rng, d)
-    return _add_jumps(np.zeros((size, d)), spec.rate * dt, rng, jumps)
+    out[:] = 0.0
+    return _add_jumps(out, spec.rate * dt, rng, jumps)
 
 
 def _add_jumps(out, mean, rng, jumps):
@@ -447,7 +474,8 @@ def _add_jumps(out, mean, rng, jumps):
     n_jumps = rng.poisson(mean, len(out))
     total = int(n_jumps.sum())
     if total:
-        np.add.at(out, np.repeat(np.arange(len(out)), n_jumps), jumps(total))
+        rows = np.flatnonzero(n_jumps)
+        np.add.at(out, np.repeat(rows, n_jumps[rows]), jumps(total))
     return out
 
 

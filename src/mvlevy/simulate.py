@@ -114,7 +114,8 @@ def _kept_steps(cfg):
 
 def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     """Advance all chains by T/dt Euler steps of size dt; returns the
-    states after each step in keep (increasing), one (n, d) block per step.
+    states after each step in keep (increasing) as one (len(keep), n, d)
+    array, a fresh copy of each kept state.
 
     stats are the measure stats of a frozen measure, or None for the
     particle system: the drift then reads the stats of the current cloud
@@ -131,9 +132,14 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     the Euler variance dt sum_j D^{2j}).  The chain then jumps from one
     kept step to the next, with one draw per chain and kept step.
 
-    Every other case takes the Euler steps one by one, with increments
-    drawn in chunks of steps to amortize generator overhead.  Either way
-    the draw order is fixed by the stream key (cfg.seed, *key) alone.
+    Every other case takes the Euler steps one by one.  Increments are
+    drawn INCREMENT_CHUNK steps at a time into one buffer made once per
+    run, and two state blocks take turns: the new state
+    F = field(X, F); F *= dt; F += X; F += dZ is written over the state
+    before last, so a step allocates nothing beyond the temporaries of the
+    asymmetric cubic's remainder and the two-well's vector formula.
+    Either way the draw order is fixed by the stream key (cfg.seed, *key)
+    alone.
     """
     n, d = X.shape
     if levy.dim != d:
@@ -142,29 +148,32 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     n_steps = int(round(cfg.T / dt))
     gen = _rng.stream(cfg.seed, *key)
     aff = None if stats is None else affine_coefficients(spec, stats)
-    kept = []
+    kept = np.empty((len(keep), n, d))
     # overflow in the updates is the blowup signal, not an error; the guard
     # turns it into a Blowup exception
     if aff is not None and levy.kind == STABLE:
         rate, shift = aff
         prev = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in keep:
+            for i, step in enumerate(keep):
                 decay_k, drift_sum, noise_sum = _affine_jump(
                     rate, dt, levy.alpha, step - prev)
                 X = (decay_k * X + shift * (dt * drift_sum)
                      + sample_increment(levy, dt * noise_sum, gen, size=n))
                 _check_blowup(X, step)
-                kept.append(X)
+                kept[i] = X
                 prev = step
         return kept
     cloud = stats is None
     field = None if cloud else field_closure(spec, stats)
-    keep = set(keep)
+    slot = {step: i for i, step in enumerate(keep)}
+    dZ = np.empty((INCREMENT_CHUNK * n, d))
+    X, F = X.copy(), np.empty_like(X)
     step = 0
     while step < n_steps:
         m = min(INCREMENT_CHUNK, n_steps - step)
-        dZ = sample_increment(levy, dt, gen, size=n * m).reshape(m, n, d)
+        chunk = sample_increment(levy, dt, gen, size=n * m,
+                                 out=dZ[:n * m]).reshape(m, n, d)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
                 if cloud:
@@ -172,9 +181,13 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
                     field = field_closure(
                         spec, measure_stats(spec, EmpiricalMeasure.from_samples(X)))
                 step += 1
-                X = X + field(X) * dt + dZ[j]
-                if step in keep:
-                    kept.append(X)
+                F = field(X, F)
+                F *= dt
+                F += X
+                F += chunk[j]
+                X, F = F, X
+                if step in slot:
+                    kept[slot[step]] = X
         _check_blowup(X, step)
     return kept
 
@@ -194,6 +207,8 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, key=()):
     """
     if frozen.dim != spec.dim:
         raise DimensionMismatch("frozen measure dimension mismatch")
+    if not _kept_steps(cfg):
+        raise ValueError("no state is kept: the burn-in plus thin steps exceed T/dt")
     stats = measure_stats(spec, frozen)
     gen0 = _rng.stream(cfg.seed, *key, _rng.INIT)
     for h in range(MAX_HALVINGS + 1):
@@ -208,7 +223,7 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, key=()):
         except Blowup:
             if h == MAX_HALVINGS:
                 raise
-    pts = np.concatenate(kept, axis=0)
+    pts = kept.reshape(-1, spec.dim)
     n = pts.shape[0]
     return OccupationMeasure(pts, np.full(n, 1.0 / n),
                              T=cfg.T, dt=run.dt, n_chains=cfg.n_chains, ess=n)

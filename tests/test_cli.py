@@ -136,6 +136,18 @@ class TestFixpoint:
         assert main(["fixpoint", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("levy", [{"alpha": 2.0},
+                                      {"kind": "truncated_stable", "alpha": 1.5,
+                                       "cutoff": 2.0}])
+    def test_nothing_kept_is_validation_error(self, tmp_path, capsys, levy):
+        # 1000 steps, burn-in 990, thin 20: no step is kept, on the affine
+        # jump (stable) and on the stepwise loop (truncated) alike
+        sim = dict(SIM_BLOCK, burn_in_fraction=0.99, thin=20)
+        assert main(["fixpoint", *FP_RUN, "--set", f"levy={json.dumps(levy)}",
+                     "--set", f"sim={json.dumps(sim)}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "no state is kept" in capsys.readouterr().err
+
     def test_one_chain_is_validation_error(self, tmp_path, capsys):
         # the noise floor splits the chains of the last run in two
         assert main(["fixpoint", *FP_RUN, "--set", "sim.n_chains=1",
@@ -204,6 +216,21 @@ class TestCheck:
         assert main(["check", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert not rep["ok"]
+
+    def test_compound_noise_takes_beta_above_its_unused_alpha(self, tmp_path):
+        # compound Poisson noise has every moment, and its spec's alpha
+        # (default 1.5) is not read by its law
+        levy = {"kind": "compound_poisson", "rate": 2.0, "jump_dist": ["gaussian", 0.3]}
+        assert main(["check", "--set", f"levy={json.dumps(levy)}",
+                     "--set", f"ex14={json.dumps(dict(EX14, beta=1.6))}",
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_stable_noise_needs_beta_below_alpha(self, tmp_path, capsys):
+        levy = {"kind": "stable", "alpha": 1.5, "scale": 0.025}
+        assert main(["check", "--set", f"levy={json.dumps(levy)}",
+                     "--set", f"ex14={json.dumps(dict(EX14, beta=1.6))}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "need beta in (1, alpha)" in capsys.readouterr().err
 
     def test_m_star_section(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json", {

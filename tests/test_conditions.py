@@ -390,6 +390,16 @@ class TestAppendixConstants:
         with pytest.raises(ZeroOverlap):
             appendix_constants(ap, LevyMeasureSpec(alpha=2.0))
 
+    def test_uniform_jumps_that_only_touch_raise(self):
+        # uniform sizes on [0.5, 1.5]: at |x| = 1 the arms only touch, so
+        # J(kappa) = 0 for kappa >= 1
+        levy = LevyMeasureSpec(kind="compound_poisson", rate=3.0,
+                               jump_dist=("uniform", 0.5, 1.5))
+        ap = AppendixParams(K1=1.0, K2=0.5, K3=1.0, kappa=1.0, l0=1.0,
+                            C_V=2.0, lambda_V=0.5)
+        with pytest.raises(ZeroOverlap):
+            appendix_constants(ap, levy)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             AppendixParams(K1=0.0, K2=1.0, K3=1.0, kappa=1.0, l0=1.0,

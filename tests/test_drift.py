@@ -134,7 +134,7 @@ class TestFieldConsistency:
         for spec, formula in cases:
             mu = _uniform_cloud(gen, 40, d=spec.dim)
             X = gen.normal(size=(30, spec.dim)) * 3.0
-            got = field_closure(spec, measure_stats(spec, mu))(X)
+            got = field_closure(spec, measure_stats(spec, mu))(X, np.empty_like(X))
             want = np.array([formula(x, mu.points) for x in X])
             assert got.shape == (30, spec.dim)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12), spec.family
@@ -146,8 +146,8 @@ class TestFieldConsistency:
         stats = measure_stats(spec, mu)
         rate, shift = affine_coefficients(spec, stats)
         X = gen.normal(size=(10, 1))
-        assert np.allclose(shift - rate * X, field_closure(spec, stats)(X),
-                           atol=1e-14)
+        got = field_closure(spec, stats)(X, np.empty_like(X))
+        assert np.allclose(shift - rate * X, got, atol=1e-14)
         cubic = DriftSpec("double_well", lam=1.0, a1=-1.0, a2=1.0)
         assert affine_coefficients(cubic, measure_stats(cubic, mu)) is None
 

@@ -279,6 +279,36 @@ def test_J_non_increasing_and_power_decay():
     assert J(spec, 1.0) / J(spec, 2.0) == pytest.approx(2.0 ** 1.5, rel=1e-6)
 
 
+def test_J_uniform_jumps_takes_the_exact_infimum():
+    # at |x| = 1 the arms [-1.5, -0.5] and [0.5, 1.5] shifted by x only
+    # touch, so the overlap, and J over any r >= 1, is 0; at |x| = 1.2 it
+    # is rate 0.2 / (2 (hi - lo)) = 0.3
+    spec = LevyMeasureSpec(kind="compound_poisson", rate=3.0,
+                           jump_dist=("uniform", 0.5, 1.5))
+    assert overlap_mass(spec, [1.0]) == 0.0
+    assert overlap_mass(spec, [1.2]) == pytest.approx(0.3, rel=1e-12)
+    assert J(spec, 2.0) == 0.0
+    assert J(spec, 1.0) == 0.0
+    # below the first touch the overlap falls linearly down to r
+    assert J(spec, 0.8) == overlap_mass(spec, [0.8])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(0.1, 3.0), st.floats(0.05, 6.0))
+def test_J_uniform_jumps_below_every_grid_value(lo, width, r):
+    # J is the infimum over (0, r]: no point of a fine grid lies below it,
+    # and the grid comes within the overlap's Lipschitz constant times the
+    # spacing of it
+    spec = LevyMeasureSpec(kind="compound_poisson", rate=2.0,
+                           jump_dist=("uniform", lo, lo + width))
+    grid = np.linspace(r / 2000.0, r, 2000)
+    vals = np.array([overlap_mass(spec, [x]) for x in grid])
+    got = J(spec, r)
+    slope = 2.0 * 4.0 / (2.0 * width)  # rate 2, four arm pairs
+    assert got <= vals.min() + 1e-12
+    assert got >= vals.min() - slope * (grid[1] - grid[0]) - 1e-12
+
+
 def test_sampler_characteristic_function():
     gen = mvrng.stream(55)
     spec = LevyMeasureSpec(alpha=1.5)
@@ -389,9 +419,13 @@ class _FixedAngles:
         assert size == self.u.size
         return self.u
 
-    def standard_exponential(self, size):
-        assert size == self.w.size
-        return self.w
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            assert size == self.w.size
+            return self.w
+        assert out.size == self.w.size
+        out[:] = self.w
+        return out
 
 
 def _angle_grid(near):
@@ -531,6 +565,33 @@ def test_density_at_the_origin(dim):
         unif = LevyMeasureSpec(kind="compound_poisson", rate=1.0, dim=dim,
                                jump_dist=("uniform", lo, lo + 1.0))
         assert unif.levy_density(zero)[0] == want
+
+
+_EVERY_KIND = [LevyMeasureSpec(alpha=a, scale=0.7, dim=d)
+               for a in (1.0, 1.5, 2.0) for d in (1, 2)] + [
+    LevyMeasureSpec(kind="truncated_stable", alpha=1.2, scale=0.8, cutoff=2.0),
+    LevyMeasureSpec(kind="compound_poisson", rate=3.0, jump_dist=("gaussian", 0.7)),
+    LevyMeasureSpec(kind="compound_poisson", rate=3.0, jump_dist=("uniform", 0.5, 1.5))]
+
+
+@pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda s: f"{s.kind}-{s.alpha}-d{s.dim}")
+def test_increments_into_a_buffer_match_a_fresh_array(spec):
+    # out only says where the draws go: the same draws, in the same order,
+    # into the caller's buffer, which is returned; a slice of a bigger
+    # buffer, as the integrator passes it, is filled the same way
+    n = 2 * STABLE_BLOCK + 5
+    want = sample_increment(spec, 0.3, mvrng.stream(11), size=n)
+    buf = np.full((n + 7, spec.dim), np.nan)
+    gen = mvrng.stream(11)
+    got = sample_increment(spec, 0.3, gen, size=n, out=buf[:n])
+    assert np.shares_memory(got, buf) and got.shape == (n, spec.dim)
+    assert np.array_equal(got, want)
+    assert np.all(np.isnan(buf[n:]))
+    twin = mvrng.stream(11)
+    sample_increment(spec, 0.3, twin, size=n)
+    assert np.array_equal(gen.random(4), twin.random(4))
+    whole = np.empty((n, spec.dim))
+    assert sample_increment(spec, 0.3, mvrng.stream(11), size=n, out=whole) is whole
 
 
 # sha256 of sample_increment(spec, 0.3, mvrng.stream(2024, dim), size=500),

@@ -19,7 +19,7 @@ from mvlevy import (
 )
 from mvlevy import rng as mvrng
 from mvlevy.drift import measure_stats
-from mvlevy.simulate import _affine_jump, _kept_steps, _run_euler
+from mvlevy.simulate import INCREMENT_CHUNK, _affine_jump, _kept_steps, _run_euler
 
 
 def _brownian(scale=1.0):
@@ -250,6 +250,110 @@ class TestAffineJumpInLaw:
         chain_means = pts.reshape(-1, cfg.n_chains).mean(axis=0)
         se = chain_means.std(ddof=1) / np.sqrt(cfg.n_chains)
         assert abs(pts.mean() - 0.5) <= 3.0 * se
+
+
+def _reference_euler(b, levy, X, cfg, key):
+    """Kept states of X <- X + b(X) dt + dZ taken one Euler step at a time,
+    on the increments _run_euler draws from stream (cfg.seed, *key), in
+    chunks of INCREMENT_CHUNK steps: shape (kept, n, d)."""
+    gen = mvrng.stream(cfg.seed, *key)
+    n, d = X.shape
+    n_steps = int(round(cfg.T / cfg.dt))
+    keep = set(_kept_steps(cfg))
+    kept = []
+    for start in range(0, n_steps, INCREMENT_CHUNK):
+        m = min(INCREMENT_CHUNK, n_steps - start)
+        dZ = sample_increment(levy, cfg.dt, gen, size=n * m).reshape(m, n, d)
+        for j in range(m):
+            X = X + b(X) * cfg.dt + dZ[j]
+            if start + j + 1 in keep:
+                kept.append(X)
+    return np.array(kept)
+
+
+class TestSteppedLoop:
+    """The stepwise path against Euler steps written out here, drift in
+    product form, on the same increments.  1100 steps cross four increment
+    chunk boundaries; the Horner drifts agree to rounding, the others are
+    evaluated by the same operations and agree bit for bit."""
+
+    CFG = SimConfig(dt=0.002, T=2.2, n_chains=64, burn_in_fraction=0.2, thin=50, seed=5)
+
+    def _both(self, spec, st, levy, b):
+        X0 = np.linspace(-1.6, 1.6, self.CFG.n_chains * spec.dim).reshape(-1, spec.dim)
+        got = _run_euler(spec, st, levy, X0.copy(), self.CFG, _kept_steps(self.CFG), 3)
+        want = _reference_euler(b, levy, X0, self.CFG, (3,))
+        assert got.shape == want.shape == (len(_kept_steps(self.CFG)),) + X0.shape
+        return got, want
+
+    @pytest.mark.parametrize("alpha", [1.8, 2.0])
+    def test_double_well_matches_product_form(self, alpha):
+        spec = DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0)
+        m = 0.3
+        got, want = self._both(spec, {"mean": np.array([m])},
+                               LevyMeasureSpec(alpha=alpha, scale=0.1),
+                               lambda x: -x * (x + 1.0) * (x - 1.0) - 4.5 * (x - m))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_asymmetric_cubic_matches_product_form(self):
+        spec = DriftSpec("asymmetric_cubic", lam=1.0, kappa=0.4, beta=1.3,
+                         g_kind="cosine", g_params=(0.3, 2.0))
+        am, gm = 0.8, 0.1
+        st = {"mean": np.array([0.2]), "abs_moment": am, "g_moment": gm}
+        levy = LevyMeasureSpec(kind="truncated_stable", alpha=1.5, scale=0.2, cutoff=2.0)
+        got, want = self._both(
+            spec, st, levy,
+            lambda x: -x * (x - 1.0) * (x + 2.0) + 0.4 * ((1.0 + x ** 2) ** 0.15 * am + gm))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_two_well_d2_is_bit_identical(self):
+        y1, y2, mean = np.array([1.0, 0.5]), np.array([-1.0, 0.0]), np.array([0.1, -0.2])
+        spec = DriftSpec("symmetric_two_well", lam=1.0, kappa=0.7,
+                         y1=tuple(y1), y2=tuple(y2))
+
+        def b(x):
+            d1, d2 = x - y1, x - y2
+            n1 = np.sum(d1 ** 2, axis=1, keepdims=True)
+            n2 = np.sum(d2 ** 2, axis=1, keepdims=True)
+            return -(1.0 / 2.0) * (d1 * n2 + d2 * n1) - 0.7 * (x - mean[None, :])
+
+        got, want = self._both(spec, {"mean": mean},
+                               LevyMeasureSpec(alpha=1.5, scale=0.1, dim=2), b)
+        assert np.array_equal(got, want)
+
+    def test_ou_truncated_noise_is_bit_identical(self):
+        spec = DriftSpec("mean_field_ou", lam=2.0)
+        levy = LevyMeasureSpec(kind="truncated_stable", alpha=1.5, scale=0.5, cutoff=4.0)
+        mean = np.array([0.4])
+        got, want = self._both(spec, {"mean": mean}, levy,
+                               lambda x: mean[None, :] - 2.0 * x)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("levy", [LevyMeasureSpec(alpha=1.5, scale=0.1),
+                                      LevyMeasureSpec(kind="truncated_stable", alpha=1.5,
+                                                      scale=0.1, cutoff=2.0)])
+    def test_kept_states_do_not_share_memory(self, levy):
+        # the stepwise loop writes each state over the state before last:
+        # a kept state must be a copy, not one of those two blocks (the
+        # stable OU case is the affine jump, the truncated one is stepped)
+        spec = DriftSpec("mean_field_ou", lam=1.0)
+        X0 = np.zeros((self.CFG.n_chains, 1))
+        kept = _run_euler(spec, {"mean": np.array([0.5])}, levy, X0, self.CFG,
+                          _kept_steps(self.CFG), 3)
+        assert np.all(X0 == 0.0)
+        assert not any(np.shares_memory(kept[i], kept[j])
+                       for i in range(len(kept)) for j in range(i))
+        assert all(not np.array_equal(kept[i], kept[i - 1]) for i in range(1, len(kept)))
+
+    def test_particle_snapshots_do_not_share_memory(self):
+        spec = DriftSpec("double_well", lam=1.0, kappa=1.0, a1=-1.0, a2=1.0)
+        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=4)
+        snaps = particle_system(spec, _brownian(scale=0.3), 0.5, cfg,
+                                snapshot_times=[1.0, 2.56, 2.57, 10.0])
+        pts = [s.points for s in snaps]
+        assert not any(np.shares_memory(pts[i], pts[j])
+                       for i in range(len(pts)) for j in range(i))
+        assert all(not np.array_equal(pts[i], pts[i - 1]) for i in range(1, len(pts)))
 
 
 class TestParticleSystem:
