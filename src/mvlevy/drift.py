@@ -122,8 +122,8 @@ def field_closure(spec, stats):
     into out, an array of X's shape that is not X, and returned.  The
     integrator calls it once per Euler step, so the family branch is taken
     once, not per step.  One-dimensional families evaluate the
-    coefficients of _polynomial by Horner's rule in place, and the
-    asymmetric cubic then adds its remainder.  The two-well is a vector
+    coefficients of _polynomial by Horner's rule in place, skipping zero
+    coefficients, and the asymmetric cubic then adds its remainder.  The two-well is a vector
     cubic, written here.
     """
     if spec.family == TWO_WELL:
@@ -144,14 +144,21 @@ def field_closure(spec, stats):
             return out
 
         return two_well
-    (top, second, *rest), remainder = _polynomial(spec, stats)
+    (top, *rest), remainder = _polynomial(spec, stats)
+    # per lower coefficient: the one to add (None for 0, as for x^2 in a
+    # symmetric double well) and whether X multiplies after it; on a few
+    # hundred rows each call costs its dispatch, so zeros are skipped, and
+    # ufuncs with a positional out dispatch faster than in-place operators
+    steps = [(c if np.any(c) else None, k < len(rest) - 1)
+             for k, c in enumerate(rest)]
 
     def horner(X, out):
-        np.multiply(X, top, out=out)
-        out += second
-        for c in rest:
-            out *= X
-            out += c
+        np.multiply(X, top, out)
+        for c, times_x in steps:
+            if c is not None:
+                np.add(out, c, out)
+            if times_x:
+                np.multiply(out, X, out)
         return out
 
     if remainder is None:

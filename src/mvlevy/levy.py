@@ -416,8 +416,8 @@ def sample_increment(spec, dt, rng, size=1, out=None):
     when out is None), and returned.
 
     Every kind draws the same numbers in the same order whether out is
-    given or not.  Pure stable kinds use exact
-    self-similar increments scale * dt^{1/alpha} * unit draw for alpha < 2.
+    given or not.  Pure stable kinds use exact self-similar increments
+    scale * dt^{1/alpha} * unit draw for alpha < 2.
     alpha = 2 is scale times standard Brownian motion, with variance
     scale^2 dt per coordinate; it is not the alpha -> 2- stable limit (or
     unit_isotropic_stable(2, ...)), whose variance is 2 scale^2 dt.

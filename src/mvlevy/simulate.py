@@ -168,7 +168,7 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     field = None if cloud else field_closure(spec, stats)
     slot = {step: i for i, step in enumerate(keep)}
     dZ = np.empty((INCREMENT_CHUNK * n, d))
-    X, F = X.copy(), np.empty_like(X)
+    X, F = X.copy(), np.empty_like(X)  # the caller's block is not written
     step = 0
     while step < n_steps:
         m = min(INCREMENT_CHUNK, n_steps - step)
@@ -182,9 +182,9 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
                         spec, measure_stats(spec, EmpiricalMeasure.from_samples(X)))
                 step += 1
                 F = field(X, F)
-                F *= dt
-                F += X
-                F += chunk[j]
+                np.multiply(F, dt, F)
+                np.add(F, X, F)
+                np.add(F, chunk[j], F)
                 X, F = F, X
                 if step in slot:
                     kept[slot[step]] = X
