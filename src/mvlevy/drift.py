@@ -123,8 +123,8 @@ def field_closure(spec, stats):
     integrator calls it once per Euler step, so the family branch is taken
     once, not per step.  One-dimensional families evaluate the
     coefficients of _polynomial by Horner's rule in place, skipping zero
-    coefficients, and the asymmetric cubic then adds its remainder.  The two-well is a vector
-    cubic, written here.
+    coefficients, and the asymmetric cubic then adds its remainder.  The
+    two-well is a vector cubic, written here.
     """
     if spec.family == TWO_WELL:
         lam, kap = spec.lam, spec.kappa
