@@ -9,6 +9,7 @@ h(r) = r/(1+r), and nu-functionals come from levy.tail_moment.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,6 +171,15 @@ def chosen_tuple(report):
 # multiplicity criteria: the shared jump-noise term and witness search
 
 
+@lru_cache(maxsize=64)
+def _noise_moments(levy, beta):
+    """nu_half, nu_beta and nu_small of _jump_noise, taken once per (levy,
+    beta), not at each of the up to 1000 points of a witness search."""
+    return (tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0),
+            tail_moment(levy, beta, COMPLEMENT, 1.0),
+            tail_moment(levy, 2.0, BALL, 1.0))
+
+
 def _jump_noise(levy, beta, eps):
     """The jump-noise term shared by the multiplicity criteria, as a
     function of the radius r:
@@ -184,9 +194,7 @@ def _jump_noise(levy, beta, eps):
         raise ValueError("need beta in (1, alpha)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    nu_half = tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0)
-    nu_beta = tail_moment(levy, beta, COMPLEMENT, 1.0)
-    nu_small = tail_moment(levy, 2.0, BALL, 1.0)
+    nu_half, nu_beta, nu_small = _noise_moments(levy, beta)
     const = nu_beta + (beta / 2.0) * eps ** (beta / 2.0 - 1.0) * nu_small
     return lambda r: 2.0 ** (beta / 2.0) * nu_half * r ** (beta / 2.0) + const
 

@@ -11,8 +11,8 @@ at gamma = Gamma(1/4)/Gamma(3/4) ~ 2.96.  The formula
 beta_c = (12 - gamma^2)/(2 gamma) is only the target that acceptance
 criterion 1 checks (the CLI reports it as "formula_value"); it does not
 match the density, so that criterion fails by design (README, "Testing
-notes").  Its threshold gamma = 2 sqrt(3) (GAMMA_C) lies above 2.96, so
-beta_c may still use it as a supercritical shortcut.
+notes").  GAMMA_C = 2 sqrt(3), the formula's own threshold, serves only
+that report.
 """
 
 import math
@@ -221,30 +221,24 @@ class BetaCResult:
 
 
 def _count_at(gamma, beta):
-    # the outer roots sit near +-sqrt(gamma/4 + beta/2), inside this m_max
-    case = GradientCase(gamma, beta)
+    """Root count of h on a 1000-point scan whose m_max holds the outer
+    roots, near +-sqrt(gamma/4 + beta/2).  GridTooCoarse means the scan saw
+    two roots within three cells: h is odd, so the count is odd, and it is
+    at most 3 (the GHS inequality makes the mean concave in m > 0)."""
     m_max = max(6.0, 1.6 * math.sqrt(max(beta, 1.0)), math.sqrt(gamma))
-    for grid_n in (1000, 4000, 16000):
-        try:
-            return root_count(case, m_max, grid_n, refine=False)["count"]
-        except GridTooCoarse:
-            continue
-    # roots still unresolved at the finest grid: they are merging, which
-    # only happens on the multi-root side of the transition
-    return 3
+    try:
+        return root_count(GradientCase(gamma, beta), m_max, 1000, refine=False)["count"]
+    except GridTooCoarse:
+        return 3
 
 
 def beta_c(gamma, tol):
-    """Critical beta where the root count passes from 1 to 3.
-
-    For gamma >= 2 sqrt(3) the count is already 3 for every beta > 0; the
-    result is flagged supercritical with value 0.
-    """
+    """Critical beta where the root count passes from 1 to 3, bisected on
+    [1e-3, 100] to width tol.  A count of 3 at beta = 1e-3, as from gamma =
+    Gamma(1/4)/Gamma(3/4) ~ 2.96 on, is flagged supercritical with value 0."""
     check_gamma(gamma)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if gamma >= GAMMA_C:
-        return BetaCResult(0.0, True)
     lo, hi = 1e-3, 1e2
     if _count_at(gamma, lo) != 1:
         return BetaCResult(0.0, True)

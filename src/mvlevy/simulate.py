@@ -119,8 +119,8 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
 
     stats are the measure stats of a frozen measure, or None for the
     particle system: the drift then reads the stats of the current cloud
-    at every step, and the blowup guard checks the cloud before each step
-    so that the stats are taken of finite states.
+    (the state block, uniform weights) at every step, and the blowup guard
+    checks the cloud first, so that the stats are taken of finite states.
 
     With frozen stats, pure stable noise and an affine drift
     b(x) = shift - rate x make the Euler chain X <- D X + shift dt + dZ
@@ -164,8 +164,8 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
                 kept[i] = X
                 prev = step
         return kept
-    cloud = stats is None
-    field = None if cloud else field_closure(spec, stats)
+    uniform = np.full(n, 1.0 / n) if stats is None else None  # the cloud's weights
+    field = None if stats is None else field_closure(spec, stats)
     slot = {step: i for i, step in enumerate(keep)}
     dZ = np.empty((INCREMENT_CHUNK * n, d))
     X, F = X.copy(), np.empty_like(X)  # the caller's block is not written
@@ -176,10 +176,9 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
                                  out=dZ[:n * m]).reshape(m, n, d)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
-                if cloud:
+                if stats is None:
                     _check_blowup(X, step)
-                    field = field_closure(
-                        spec, measure_stats(spec, EmpiricalMeasure.from_samples(X)))
+                    field = field_closure(spec, measure_stats(spec, X, uniform))
                 step += 1
                 F = field(X, F)
                 np.multiply(F, dt, F)
@@ -209,7 +208,7 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, key=()):
         raise DimensionMismatch("frozen measure dimension mismatch")
     if not _kept_steps(cfg):
         raise ValueError("no state is kept: the burn-in plus thin steps exceed T/dt")
-    stats = measure_stats(spec, frozen)
+    stats = measure_stats(spec, frozen.points, frozen.weights)
     gen0 = _rng.stream(cfg.seed, *key, _rng.INIT)
     for h in range(MAX_HALVINGS + 1):
         run = replace(cfg, dt=cfg.dt / 2 ** h, thin=cfg.thin * 2 ** h)

@@ -86,6 +86,11 @@ class TestSample:
         assert main(["sample", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_array_is_validation_error(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "c.json", [{"seed": 1}])
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_run_and_report(self, tmp_path):
@@ -294,6 +299,13 @@ class TestSelfConsistent:
         assert main(["selfconsistent", "--gamma", "4.0", "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["supercritical"] and rep["beta_c"] == 0.0
+
+    def test_no_transition_is_numerical_error(self, tmp_path, capsys):
+        # at gamma = 0.01 the count is still 1 at beta = 100, the top of
+        # the bisection's range
+        assert main(["selfconsistent", "--gamma", "0.01", "--out", str(tmp_path / "o")]) == 3
+        assert "no 1 -> 3 transition" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_h_profile_csv(self, tmp_path):
         out = tmp_path / "o"

@@ -33,7 +33,10 @@ from mvlevy import (
     phi_fn,
     theta_member,
 )
-from mvlevy.conditions import chosen_tuple
+from mvlevy import conditions
+from mvlevy.conditions import _jump_noise, _noise_moments, _select_l, chosen_tuple
+from mvlevy.errors import QuadratureFailure
+from mvlevy.levy import tail_moment
 
 
 # --- independent closed forms for the 1-d stable jump measure -------------
@@ -269,6 +272,29 @@ class TestDoubleWellCriteria:
         loud = LevyMeasureSpec(alpha=1.8, scale=0.2)
         assert ex14_feasibility(1.0, 4.5, 1.5, -1.0, 1.0, loud) is None
 
+    @pytest.mark.parametrize("scale, witness", [
+        (0.1, None), (0.05, None), (0.025, (1e-4, 0.24975))])
+    def test_witness_by_noise_scale(self, scale, witness):
+        # the noise scales the conditions step of criterion 5 halves
+        # through after 0.2 (test_infeasible_at_large_scale)
+        levy = LevyMeasureSpec(alpha=1.8, scale=scale)
+        assert ex14_feasibility(1.0, 4.5, 1.5, -1.0, 1.0, levy) == witness
+
+    def test_search_takes_the_noise_moments_once(self, monkeypatch):
+        # the moments depend on (levy, beta) alone; a search used to take
+        # three of them at each of its 1000 grid points
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tail_moment(*args)
+
+        monkeypatch.setattr(conditions, "tail_moment", counted)
+        _noise_moments.cache_clear()
+        loud = LevyMeasureSpec(alpha=1.8, scale=0.2)
+        assert ex14_feasibility(1.0, 4.5, 1.5, -1.0, 1.0, loud) is None
+        assert 0 < len(calls) <= 3
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             ex14_check(1.0, 4.5, 1.5, 1e-4, 0.24, 1.0, 2.0, self.LEVY)
@@ -289,6 +315,9 @@ class TestTwoWellCriteria:
         assert res["eq1_ok"] and res["wq2_ok"]
         assert res["delta"] == 2.0
         assert res["g"](r0, r0) > 0.0
+
+    def test_witness_is_pinned(self):
+        assert ex15_feasibility(1.0, 3.0, 1.5, (1.0,), (-1.0,), self.LEVY) == (1e-4, 0.4995)
 
     def test_bracketing_convexity(self):
         res = ex15_check(1.0, 3.0, 1.5, 1e-4, 0.4995, (1.0,), (-1.0,), self.LEVY)
@@ -375,6 +404,21 @@ class TestAppendixConstants:
                        else c2 / (1.0 + math.exp(2.0 * g)))
         assert np.isclose(out.lambda_contr, expect_rate, rtol=1e-10, atol=0.0)
 
+    def test_sigma_branch_ordinary_rate(self):
+        # K1 = 0.1 keeps 2 g near 109, below the e^{2g} overflow guard, so
+        # lambda_contr = c2 / (1 + e^{2g}) is evaluated as written
+        levy = LevyMeasureSpec(alpha=1.5, scale=1.0)
+        sval = 0.5 * _overlap_inf(1.5, 1.0, 1.0) / 4.0
+        ap = AppendixParams(K1=0.1, K2=0.5, K3=1.0, kappa=1.0, l0=1.0, C_V=2.0,
+                            lambda_V=0.5, sigma=SigmaSpec(((0.0, sval), (2.0, sval))))
+        out = appendix_constants(ap, levy)
+        g1 = 2.0 / sval
+        c2 = min(1.0, 1.0 / g1)
+        two_g = 2.0 * g1 * (1.0 + 0.2 / c2)
+        assert 100.0 < two_g < 120.0
+        assert out.lambda_contr == pytest.approx(c2 / (1.0 + math.exp(two_g)), rel=1e-10)
+        assert out.lambda_contr > 0.0
+
     def test_domination_violation_raises(self):
         levy = LevyMeasureSpec(alpha=1.5)
         Jk = _overlap_inf(1.5, 1.0, 1.0)
@@ -410,3 +454,23 @@ class TestAppendixConstants:
         with pytest.raises(ValueError):
             AppendixParams(K1=1.0, K2=1.0, K3=1.0, kappa=1.0, l0=0.5,
                            C_V=1.0, lambda_V=1.0)
+
+
+_STABLE = LevyMeasureSpec(alpha=1.8, scale=0.1)
+_BAD_INPUTS = {
+    "jump noise beta <= 1": (lambda: _jump_noise(_STABLE, 1.0, 0.1),
+                             ValueError, "need beta > 1"),
+    "jump noise eps <= 0": (lambda: _jump_noise(_STABLE, 1.5, 0.0),
+                            ValueError, "eps must be positive"),
+    "no l meets the tail cap": (lambda: _select_l(_STABLE, 1.5, 0.0),
+                                QuadratureFailure, "no l on the doubling grid"),
+    "C_V <= 0": (lambda: AppendixParams(K1=1.0, K2=1.0, K3=1.0, kappa=1.0, l0=1.0,
+                                        C_V=0.0, lambda_V=1.0),
+                 ValueError, "C_V, lambda_V, beta0 must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_raises_its_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -93,6 +93,13 @@ class TestSpecValidation:
         with pytest.raises(DimensionMismatch):
             DriftSpec("symmetric_two_well", lam=1.0, y1=(1.0,), y2=(1.0, 0.0))
 
+    def test_unknown_g_kind(self):
+        # the g function is built when read, so the spec itself constructs
+        spec = DriftSpec("asymmetric_cubic", lam=1.0, beta=1.5, g_kind="sine",
+                         g_params=(1.0, 1.0))
+        with pytest.raises(UnsupportedFamily, match="unknown g kind 'sine'"):
+            spec.g
+
     def test_json_round_trip(self):
         specs = [
             DriftSpec("double_well", lam=1.0, kappa=4.5, a1=-1.0, a2=1.0),
@@ -134,7 +141,8 @@ class TestFieldConsistency:
         for spec, formula in cases:
             mu = _uniform_cloud(gen, 40, d=spec.dim)
             X = gen.normal(size=(30, spec.dim)) * 3.0
-            got = field_closure(spec, measure_stats(spec, mu))(X, np.empty_like(X))
+            stats = measure_stats(spec, mu.points, mu.weights)
+            got = field_closure(spec, stats)(X, np.empty_like(X))
             want = np.array([formula(x, mu.points) for x in X])
             assert got.shape == (30, spec.dim)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12), spec.family
@@ -143,13 +151,13 @@ class TestFieldConsistency:
         gen = np.random.default_rng(9)
         spec = DriftSpec("mean_field_ou", lam=2.5)
         mu = _uniform_cloud(gen, 25)
-        stats = measure_stats(spec, mu)
+        stats = measure_stats(spec, mu.points, mu.weights)
         rate, shift = affine_coefficients(spec, stats)
         X = gen.normal(size=(10, 1))
         got = field_closure(spec, stats)(X, np.empty_like(X))
         assert np.allclose(shift - rate * X, got, atol=1e-14)
         cubic = DriftSpec("double_well", lam=1.0, a1=-1.0, a2=1.0)
-        assert affine_coefficients(cubic, measure_stats(cubic, mu)) is None
+        assert affine_coefficients(cubic, measure_stats(cubic, mu.points, mu.weights)) is None
 
     def test_measure_affinity_of_interaction(self):
         # the double-well interaction term is affine in mean(mu): evaluating
@@ -215,6 +223,12 @@ class TestA1Params:
             A1Params(1.0, 1.0, 1.0, 3.0, 4.5, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             A1Params(1.0, 1.0, 1.0, 3.0, 1.0, 5.0, 1.0, 1.5)
+
+    def test_gamma1_below_one_check(self):
+        # theta2 < 1 + theta1 keeps gamma1 below 1 in exact arithmetic; at
+        # beta = 1e16 rounding makes beta + theta2 - 2 equal beta_star
+        with pytest.raises(ValueError, match=r"need gamma1 in \[0, 1\)"):
+            A1Params(0.0, 1.0, 1.0, 1.0, 1.5, 1.0, 1.0, 1e16)
 
     def test_h_function(self):
         assert A1Params.h(0.0) == 0.0

@@ -1,11 +1,14 @@
 """Source hygiene: no module imports a name it never uses, no function
 binds a local name it never reads, no option goes unset by every caller,
 no random stream is keyed by an integer offset, every config field has a
-type the checker knows, and no module imports scipy, a test-only
-dependency: every CLI command gives its usual exit code with scipy
-blocked."""
+type the checker knows, every error the package raises has a CLI exit
+code and every package error is raised, and no module imports scipy, a
+test-only dependency: every CLI command gives its usual exit code with
+scipy blocked."""
 
 import ast
+import builtins
+import importlib
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mvlevy import cli, errors
 from mvlevy.levy import SigmaSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -303,3 +307,79 @@ def test_known_type_check_rejects_other_annotations():
     assert _known_type(tuple[float, ...]) and _known_type(SigmaSpec)
     assert not any(_known_type(tp) for tp in (list, dict, bool, tuple[float, str],
                                               np.ndarray, float | None))
+
+
+def _raised_names(tree):
+    """(line, name) for each raise statement in tree that names what it
+    raises: raise X, raise X(...), raise mod.X(...), with or without a
+    from clause, or raise exc for a bound name.  A bare raise re-raises
+    what an except clause caught, so it names nothing."""
+    raised = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            raised.append((node.lineno, name))
+    return sorted(raised)
+
+
+def _exit_code_errors():
+    """The exception types that cli.main's except clauses turn into an exit
+    code (2 or 3), read from those clauses."""
+    main = next(n for n in ast.parse((SRC / "cli.py").read_text()).body
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    caught = []
+    for handler in (h for n in ast.walk(main) if isinstance(n, ast.Try) for h in n.handlers):
+        kind = eval(compile(ast.Expression(handler.type), "cli.py", "eval"), vars(cli))
+        caught += kind if isinstance(kind, tuple) else [kind]
+    return tuple(caught)
+
+
+def _uncaught(tree, namespace, caught):
+    """(line, name) for each raise in tree whose name, looked up in
+    namespace and then among the builtins, is no subclass of caught."""
+    uncaught = []
+    for line, name in _raised_names(tree):
+        kind = namespace.get(name, getattr(builtins, name, None))
+        if not (isinstance(kind, type) and issubclass(kind, caught)):
+            uncaught.append((line, name))
+    return uncaught
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_raised_error_has_an_exit_code(path):
+    # every bad input reaches exit code 2 or 3, never a traceback: what the
+    # package raises, cli.main must catch
+    module = importlib.import_module(f"mvlevy.{path.stem}")
+    uncaught = _uncaught(ast.parse(path.read_text()), vars(module), _exit_code_errors())
+    assert not uncaught, f"{path.name}: raises with no exit code (line, name): {uncaught}"
+
+
+def test_every_package_error_is_raised():
+    raised = {name for p in MODULES for _, name in _raised_names(ast.parse(p.read_text()))}
+    package = {name for name, v in vars(errors).items()
+               if isinstance(v, type) and issubclass(v, errors.MvLevyError)
+               and v is not errors.MvLevyError}
+    assert not package - raised, f"package errors never raised: {sorted(package - raised)}"
+
+
+def test_raise_check_sees_every_form():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError('x')\n"
+        "    raise errors.Blowup(1, 2.0) from None\n"
+        "def g():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "    except OSError as exc:\n"
+        "        raise exc\n"
+        "    raise StopIteration\n")
+    assert _raised_names(tree) == [(3, "ValueError"), (4, "Blowup"), (11, "exc"),
+                                   (12, "StopIteration")]
+    caught = _exit_code_errors()
+    assert set(caught) == {*cli.NUMERICAL_ERRORS, errors.MvLevyError, ValueError,
+                           KeyError, OSError, json.JSONDecodeError}
+    assert _uncaught(tree, vars(errors), caught) == [(11, "exc"), (12, "StopIteration")]

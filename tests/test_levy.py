@@ -15,7 +15,7 @@ from scipy.stats import ks_2samp
 
 from mvlevy import rng as mvrng
 from mvlevy.errors import (DivergentMoment, InfiniteOverlap, InvalidRegion,
-                           SigmaViolatesH2)
+                           QuadratureFailure, SigmaViolatesH2)
 from mvlevy.levy import (BALL, COMPLEMENT, STABLE_BLOCK, J, LevyMeasureSpec,
                          SigmaSpec, _positive_stable, _unit_stable_1d,
                          overlap_mass, sample_increment, sphere_area,
@@ -128,6 +128,31 @@ def test_truncated_ball_plus_complement_is_the_whole_moment(alpha, dp, cutoff, f
     p, l = alpha + dp, frac * cutoff
     whole = tail_moment(spec, p, BALL, l) + tail_moment(spec, p, COMPLEMENT, l)
     assert whole == pytest.approx(tail_moment(spec, p, BALL, cutoff), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_truncated_far_tail_at_p_alpha_is_a_log(dim):
+    # nu(|.|^alpha 1_{l < |.| <= R}) = C |S^{d-1}| log(R / l), against the
+    # quadrature of r^alpha times the radial density written out here
+    alpha, R, l = 1.3, 3.0, 0.4
+    spec = LevyMeasureSpec(kind="truncated_stable", alpha=alpha, dim=dim, cutoff=R)
+    area = 2.0 * math.pi ** (dim / 2.0) / Gamma(dim / 2.0)
+    C = (alpha * 2.0 ** (alpha - 1.0) * Gamma((dim + alpha) / 2.0)
+         / (math.pi ** (dim / 2.0) * Gamma(1.0 - alpha / 2.0)))
+    want, _ = integrate.quad(lambda r: r ** alpha * C * area * r ** (-1.0 - alpha), l, R)
+    assert want == pytest.approx(C * area * math.log(R / l), rel=1e-12)
+    assert tail_moment(spec, alpha, COMPLEMENT, l) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_brownian_densities_vanish_everywhere(dim):
+    # alpha = 2 has no jump part: both densities are 0, at the origin too
+    spec = LevyMeasureSpec(alpha=2.0, dim=dim)
+    r = np.array([0.0, 1e-8, 0.5, 3.0])
+    assert np.array_equal(spec.radial_density(r), np.zeros(4))
+    z = np.zeros((4, dim))
+    z[:, 0] = r
+    assert np.array_equal(spec.levy_density(z), np.zeros(4))
 
 
 def test_tail_moment_scale_covariance():
@@ -712,3 +737,40 @@ def test_compound_spec_checks_jump_dist_at_construction(jump_dist):
     # a bad jump law used to fail only when sampled
     with pytest.raises(ValueError, match="jump_dist"):
         LevyMeasureSpec(kind="compound_poisson", rate=1.0, jump_dist=jump_dist)
+
+
+_BAD_INPUTS = {
+    "dim below 1": (lambda: LevyMeasureSpec(dim=0), ValueError, "dim must be >= 1"),
+    "compound rate <= 0": (
+        lambda: LevyMeasureSpec(kind="compound_poisson", rate=0.0,
+                                jump_dist=("gaussian", 1.0)),
+        ValueError, "compound spec needs a positive rate"),
+    "tail moment p < 0": (lambda: tail_moment(LevyMeasureSpec(), -0.5, COMPLEMENT, 1.0),
+                          ValueError, "p must be nonnegative"),
+    "truncated ball p <= alpha": (
+        lambda: tail_moment(LevyMeasureSpec(kind="truncated_stable", alpha=1.5, cutoff=2.0),
+                            1.5, BALL, 1.0),
+        DivergentMoment, "near the origin"),
+    "truncated overlap in d = 2": (
+        lambda: overlap_mass(LevyMeasureSpec(kind="truncated_stable", alpha=1.5,
+                                             cutoff=2.0, dim=2), [1.0, 0.0]),
+        QuadratureFailure, "d >= 2"),
+    "J at r <= 0": (lambda: J(LevyMeasureSpec(), 0.0), ValueError, "r must be positive"),
+    "increment dt <= 0": (
+        lambda: sample_increment(LevyMeasureSpec(), 0.0, mvrng.stream(1)),
+        ValueError, "dt must be positive"),
+    "sigma radii not increasing": (lambda: SigmaSpec(((1.0, 1.0), (1.0, 2.0))),
+                                   SigmaViolatesH2, "knot radii must increase"),
+    "sigma integral below domain": (
+        lambda: SigmaSpec(((0.5, 1.0), (2.0, 2.0))).integral_inverse(0.1),
+        ValueError, "r below sigma domain"),
+    "sigma integral beyond domain": (
+        lambda: SigmaSpec(((0.5, 1.0), (2.0, 2.0))).integral_inverse(3.0),
+        ValueError, "r beyond sigma domain"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_raises_its_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -413,6 +413,18 @@ class TestWeightedTV:
         with pytest.raises(ValueError):
             weighted_tv(m, m, 0.0)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            weighted_tv(EmpiricalMeasure.dirac(0.0), EmpiricalMeasure.dirac([0.0, 0.0]), 1.0)
+
+    def test_binned_estimator_needs_d_at_most_3(self):
+        # more than 4096 distinct atoms take the binned estimator
+        gen = np.random.default_rng(37)
+        a = EmpiricalMeasure.from_samples(gen.normal(size=(2500, 4)))
+        b = EmpiricalMeasure.from_samples(gen.normal(size=(2500, 4)))
+        with pytest.raises(DimensionMismatch, match="d <= 3"):
+            weighted_tv(a, b, 1.0)
+
 
 class TestConcentration:
     def test_counts_mass_outside_ball(self):

@@ -245,6 +245,14 @@ class TestBetaC:
         assert float(b) == 0.0
         assert GAMMA_C == pytest.approx(2.0 * np.sqrt(3.0))
 
+    @pytest.mark.parametrize("gamma", [2.97, 3.0, 3.5, 4.0, 1e4])
+    def test_supercritical_through_the_probe(self, gamma):
+        # the count at beta = 1e-3 is what flags these: 2.97 and 3.0 lie
+        # below the formula's threshold 2 sqrt(3), yet above
+        # Gamma(1/4)/Gamma(3/4) ~ 2.96, where beta_c of the density is 0
+        assert _count_at(gamma, 1e-3) == 3
+        assert beta_c(gamma, 0.02) == BetaCResult(0.0, True)
+
     def test_float_protocol(self):
         r = BetaCResult(1.25, False)
         assert float(r) == 1.25
@@ -274,6 +282,26 @@ class TestCountAt:
     @pytest.mark.parametrize("gamma", [150.0, 200.0, 500.0, 1e3, 1e4])
     def test_large_gamma_counts_three(self, gamma, beta):
         assert _count_at(gamma, beta) == 3
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0, 2.5, 2.9])
+    def test_coarse_scan_counts_what_finer_grids_count(self, gamma):
+        # _count_at takes a GridTooCoarse on its 1000-point scan for a count
+        # of 3; a 4000-point scan (16000 where that is still too coarse)
+        # separates the roots and counts them, across the transition
+        bc = beta_c(gamma, 1e-3).value
+        betas = np.concatenate((np.linspace(bc - 0.01, bc + 0.02, 31),
+                                np.linspace(bc - 0.001, bc + 0.002, 31)))
+        coarse = []
+        for beta in map(float, betas):
+            case = GradientCase(gamma, beta)
+            m_max = max(6.0, 1.6 * np.sqrt(max(beta, 1.0)), np.sqrt(gamma))
+            if _count(case, m_max, 1000) == "too coarse":
+                fine = _count(case, m_max, 4000)
+                if fine == "too coarse":
+                    fine = _count(case, m_max, 16000)
+                coarse.append(beta)
+                assert _count_at(gamma, beta) == fine == 3, beta
+        assert coarse, "no beta near beta_c where the 1000-point scan is too coarse"
 
     @pytest.mark.parametrize("gamma, beta", [(150.0, 1.0), (1e4, 1.0)])
     def test_outer_root_near_its_estimate(self, gamma, beta):

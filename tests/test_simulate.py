@@ -132,7 +132,7 @@ class TestFrozenTrajectory:
         frozen = EmpiricalMeasure.dirac(-1.0)
         cfg = SimConfig(dt=0.002, T=20.0, n_chains=300, thin=100, seed=394)
         with pytest.raises(Blowup):  # the premise: the first attempt fails
-            _run_euler(spec, measure_stats(spec, frozen), levy,
+            _run_euler(spec, measure_stats(spec, frozen.points, frozen.weights), levy,
                        np.full((cfg.n_chains, 1), -1.0), cfg, _kept_steps(cfg),
                        mvrng.INCREMENTS)
         occ = frozen_trajectory(spec, frozen, levy, -1.0, cfg)
@@ -148,6 +148,13 @@ class TestFrozenTrajectory:
         with pytest.raises(DimensionMismatch):
             frozen_trajectory(spec, EmpiricalMeasure.dirac(0.0),
                               LevyMeasureSpec(alpha=1.5, dim=2), 0.0, cfg)
+
+    def test_x0_dimension_check(self):
+        spec = DriftSpec("mean_field_ou", lam=1.0)
+        cfg = SimConfig(dt=0.01, T=20.0, seed=0)
+        with pytest.raises(DimensionMismatch, match="x0 has dim 2, expected 1"):
+            frozen_trajectory(spec, EmpiricalMeasure.dirac(0.0), _brownian(),
+                              np.zeros(2), cfg)
 
     def test_occupation_metadata(self):
         spec = DriftSpec("mean_field_ou", lam=1.0)
