@@ -20,13 +20,13 @@ from . import conditions, fixed_point, measures, selfconsistent, simulate
 from . import levy as levy_mod
 from . import drift as drift_mod
 from . import rng as _rng
-from .errors import (Blowup, MvLevyError, NoiseFloorExceedsTol, NoTransition,
-                     QuadratureFailure, _check_types, _config_kwargs, _is_kind,
-                     _kind_name)
+from .errors import (Blowup, GridTooCoarse, MvLevyError, NoiseFloorExceedsTol,
+                     NoTransition, QuadratureFailure, _check_types, _config_kwargs,
+                     _is_kind, _kind_name)
 from .measures import _write_csv
 
 NUMERICAL_ERRORS = (Blowup, QuadratureFailure, NoiseFloorExceedsTol, NoTransition,
-                    OverflowError)
+                    GridTooCoarse, OverflowError)
 
 
 # the ex14 and ex15 sections: the arguments of conditions.ex14_check and
@@ -216,6 +216,7 @@ def cmd_selfconsistent(args, cfg, out):
         ms = np.linspace(-6.0, 6.0, 241)
         rows = [(m, selfconsistent.h_fn(case, float(m))) for m in ms]
         _write_csv(os.path.join(out, "h_values.csv"), ["m", "h"], rows)
+        report["roots"] = selfconsistent.root_count(case, 6.0, 1000, refine=False)["roots"]
     _dump(out, "report.json", report)
     return 0
 

@@ -27,17 +27,24 @@ ASYM_CUBIC = "asymmetric_cubic"
 MEAN_FIELD_OU = "mean_field_ou"
 
 
+# the g kinds of the asymmetric cubic and the number of parameters each takes
+_G_ARITY = {"tanh_scaled": 2, "cosine": 2, "constant": 1}
+
+
 def _g_function(kind, params):
+    if kind not in _G_ARITY:
+        raise UnsupportedFamily(f"unknown g kind {kind!r}")
+    if len(params) != _G_ARITY[kind]:
+        raise UnsupportedFamily(f"g kind {kind!r} takes {_G_ARITY[kind]} g_params, "
+                                f"got {len(params)}")
     if kind == "tanh_scaled":
         c, s = params
         return (lambda x: c * np.tanh(s * x)), abs(c)
     if kind == "cosine":
         c, s = params
         return (lambda x: c * np.cos(s * x)), abs(c)
-    if kind == "constant":
-        (c,) = params
-        return (lambda x: np.full_like(np.asarray(x, dtype=float), c)), abs(c)
-    raise UnsupportedFamily(f"unknown g kind {kind!r}")
+    (c,) = params
+    return (lambda x: np.full_like(np.asarray(x, dtype=float), c)), abs(c)
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,7 @@ class DriftSpec:
             raise DimensionMismatch("y1 and y2 must share a dimension")
         if self.family not in (DOUBLE_WELL, TWO_WELL, ASYM_CUBIC, MEAN_FIELD_OU):
             raise UnsupportedFamily(f"unknown family {self.family!r}")
+        _g_function(self.g_kind, self.g_params)
 
     @property
     def dim(self):

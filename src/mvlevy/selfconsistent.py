@@ -73,12 +73,13 @@ def _gl_rule(panels):
     return (left + (x + 1.0) / (2.0 * panels)).ravel(), np.tile(w / (2.0 * panels), panels)
 
 
-# The rule behind h_fn and stationary_density: GL_PANELS panels on each
-# piece of _pieces (coarse) against 2 GL_PANELS (fine), GL_NODES nodes per
-# panel.  Against adaptive quadrature this agreed within 1.1e-12 of the mass
-# for gamma in [0.5, 4], beta in [-50, 100] and |m| <= 12, and within 3e-10
-# at beta = 1000, where rounding the exponent's terms (about 1e6) dominates.
-# _h_scan uses the fine rule too, so the pinned beta_c bits depend on both.
+# The rule behind h_fn, stationary_density and _count_at's variance (so the
+# pinned beta_c bits): GL_PANELS panels on each piece of _pieces (coarse)
+# against 2 GL_PANELS (fine), GL_NODES nodes per panel.  Against adaptive
+# quadrature this agreed within 1.1e-12 of the mass for gamma in [0.5, 4],
+# beta in [-50, 100] and |m| <= 12, and within 3e-10 at beta = 1000, where
+# rounding the exponent's terms (about 1e6) dominates.  _h_scan uses the
+# fine rule too.
 GL_NODES = 24
 GL_PANELS = 16
 _COARSE, _FINE = _gl_rule(GL_PANELS), _gl_rule(2 * GL_PANELS)
@@ -88,8 +89,9 @@ _RULE_W[:_COARSE[0].size, 0] = _COARSE[1]
 _RULE_W[_COARSE[0].size:, 1] = _FINE[1]
 
 
-def _moments(case, m):
-    """(int (x - m) p, int p) for p = exp(exponent - fmax).
+def _moments(case, m, k=1):
+    """(int (x - m)^k p, int p) for p = exp(exponent - fmax): k = 1 gives
+    h, and k = 2 at m = 0 the variance times the mass.
 
     The composite Gauss-Legendre rule covers each piece from _pieces,
     where the exponent lies within 60 of fmax: one or two intervals, split
@@ -105,18 +107,19 @@ def _moments(case, m):
     w = ((b - a)[:, None, None] * _RULE_W).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         p = np.exp(case.exponent(x, m) - fmax)
-        (h_c, h_f), (mass_c, mass) = np.stack(((x - m) * p, p)) @ w
+        g = (x - m) ** k
+        (i_c, i_f), (mass_c, mass) = np.stack((g * p, p)) @ w
         # roundings at different nodes are independent: they add in quadrature
         x2 = x * x
         rounding = w[:, 1] * p * np.finfo(float).eps * (
             x2 * x2 + abs(case.beta) * x2 + abs(case.gamma * m * x) + abs(fmax))
-        h_round, mass_round = np.linalg.norm((abs(x - m) * rounding, rounding), axis=1)
-    if not (mass > 0 and math.isfinite(mass) and math.isfinite(h_f)):
+        i_round, mass_round = np.linalg.norm((abs(g) * rounding, rounding), axis=1)
+    if not (mass > 0 and math.isfinite(mass) and math.isfinite(i_f)):
         raise QuadratureFailure("degenerate normalizing mass")
-    err = max(abs(h_f - h_c) + h_round, abs(mass - mass_c) + mass_round)
+    err = max(abs(i_f - i_c) + i_round, abs(mass - mass_c) + mass_round)
     if not err <= 1e-8 * mass:
         raise QuadratureFailure(f"quadrature error {err:g} too large")
-    return float(h_f), float(mass)
+    return float(i_f), float(mass)
 
 
 def h_fn(case, m):
@@ -221,20 +224,20 @@ class BetaCResult:
 
 
 def _count_at(gamma, beta):
-    """Root count of h on a 1000-point scan whose m_max holds the outer
-    roots, near +-sqrt(gamma/4 + beta/2).  GridTooCoarse means the scan saw
-    two roots within three cells: h is odd, so the count is odd, and it is
-    at most 3 (the GHS inequality makes the mean concave in m > 0)."""
-    m_max = max(6.0, 1.6 * math.sqrt(max(beta, 1.0)), math.sqrt(gamma))
-    try:
-        return root_count(GradientCase(gamma, beta), m_max, 1000, refine=False)["count"]
-    except GridTooCoarse:
-        return 3
+    """Root count of h: 3 when h'(0) = gamma Var_beta - 1 > 0, else 1.
+
+    Var_beta is the variance of exp(-x^4 + beta x^2), the candidate law at
+    m = 0, by _moments' rule.  h is odd, so 0 is a root and the count is
+    odd; the GHS inequality makes the mean concave in m > 0, so h has at
+    most one positive root, and it has one exactly when h rises at 0."""
+    s2, mass = _moments(GradientCase(gamma, beta), 0.0, 2)
+    return 3 if gamma * (s2 / mass) > 1.0 else 1
 
 
 def beta_c(gamma, tol):
-    """Critical beta where the root count passes from 1 to 3, bisected on
-    [1e-3, 100] to width tol.  A count of 3 at beta = 1e-3, as from gamma =
+    """Critical beta where the root count passes from 1 to 3, that is where
+    gamma Var_beta = 1 (Var_beta rises with beta), bisected on [1e-3, 100]
+    to width tol.  A count of 3 at beta = 1e-3, as from gamma =
     Gamma(1/4)/Gamma(3/4) ~ 2.96 on, is flagged supercritical with value 0."""
     check_gamma(gamma)
     if not 0 < tol < math.inf:

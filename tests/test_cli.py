@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlevy import (A1Params, AppendixParams, DriftSpec, FixedPointConfig,
-                    LevyMeasureSpec, SimConfig)
+                    LevyMeasureSpec, SimConfig, selfconsistent)
 from mvlevy.cli import _Ex14, _Ex15, main
 
 
@@ -277,8 +277,8 @@ class TestSelfConsistent:
         assert counts == [1, 3]
 
     def test_beta_scan_near_transition(self, tmp_path):
-        # on a fixed 1000-point grid the roots at beta = 0.911 sit within
-        # three cells of each other and the scan raised GridTooCoarse
+        # the count flips between beta = 0.909 and 0.911; at 0.911 the roots
+        # sit within three cells of each other on a 1000-point scan
         out = tmp_path / "o"
         assert main(["selfconsistent", "--gamma", "2", "--beta-scan", "0.905:0.915:0.002",
                      "--out", str(out)]) == 0
@@ -314,6 +314,29 @@ class TestSelfConsistent:
         lines = (out / "h_values.csv").read_text().strip().splitlines()
         assert lines[0] == "m,h"
         assert len(lines) == 242
+
+    @pytest.mark.parametrize("beta", [0.5, 3.0])
+    def test_beta_report_roots(self, tmp_path, beta):
+        # the roots of one 1000-point scan over the m-range of h_values.csv;
+        # the count agrees with beta_c's criterion, the sign of h'(0)
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "2.0", "--beta", str(beta),
+                     "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        case = selfconsistent.GradientCase(2.0, beta)
+        assert rep["roots"] == selfconsistent.root_count(case, 6.0, 1000,
+                                                         refine=False)["roots"]
+        assert len(rep["roots"]) == selfconsistent._count_at(2.0, beta)
+
+    def test_roots_too_close_is_numerical_error(self, tmp_path, capsys):
+        # just above beta_c(2) ~ 0.9108 the outer roots of the --beta report
+        # sit within three scan cells of the middle one
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "2", "--beta", "0.911",
+                     "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 3
+        assert "closer than 3 cells" in capsys.readouterr().err
+        assert (out / "h_values.csv").exists()
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["--gamma", "0"], ["--gamma", "-1"], ["--gamma", "inf"], ["--gamma", "nan"],

@@ -94,11 +94,26 @@ class TestSpecValidation:
             DriftSpec("symmetric_two_well", lam=1.0, y1=(1.0,), y2=(1.0, 0.0))
 
     def test_unknown_g_kind(self):
-        # the g function is built when read, so the spec itself constructs
-        spec = DriftSpec("asymmetric_cubic", lam=1.0, beta=1.5, g_kind="sine",
-                         g_params=(1.0, 1.0))
+        # checked at construction, not when .g is first read
         with pytest.raises(UnsupportedFamily, match="unknown g kind 'sine'"):
-            spec.g
+            DriftSpec("asymmetric_cubic", lam=1.0, beta=1.5, g_kind="sine",
+                      g_params=(1.0, 1.0))
+
+    @pytest.mark.parametrize("family, extra", [
+        ("mean_field_ou", {}), ("double_well", {"a1": -1.0, "a2": 1.0}),
+        ("symmetric_two_well", {"y1": (1.0,), "y2": (-1.0,)})])
+    def test_g_kind_checked_for_every_family(self, family, extra):
+        # families that never read g still reject a misspelt g_kind
+        with pytest.raises(UnsupportedFamily, match="unknown g kind 'sine'"):
+            DriftSpec(family, lam=1.0, g_kind="sine", g_params=(1.0, 1.0), **extra)
+
+    @pytest.mark.parametrize("g_kind, g_params", [
+        ("tanh_scaled", (0.5,)), ("cosine", (0.3, 2.0, 1.0)), ("constant", ()),
+        ("constant", (0.0, 1.0))])
+    def test_g_params_of_wrong_length(self, g_kind, g_params):
+        with pytest.raises(UnsupportedFamily, match=f"g kind '{g_kind}' takes"):
+            DriftSpec("asymmetric_cubic", lam=1.0, beta=1.5, g_kind=g_kind,
+                      g_params=g_params)
 
     def test_json_round_trip(self):
         specs = [

@@ -1,6 +1,7 @@
 """Tests for the scalar self-consistency analysis of the quartic gradient
 case and the mean-field Ornstein-Uhlenbeck dichotomy."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,9 +27,9 @@ def _h_rows_reference(case, ms):
     return np.array([h / mass for h, mass in rows])
 
 
-def _quad_reference(case, m):
-    """(h, mass) by adaptive quadrature over h_fn's support, with the
-    density's modes and m as break points."""
+def _quad_reference(case, m, k=1):
+    """(int (x - m)^k p, mass) by adaptive quadrature over h_fn's support,
+    with the density's modes and m as break points; k = 1 gives h."""
     from scipy import integrate
 
     a, b, fmax = _pieces(case, m)
@@ -42,7 +43,13 @@ def _quad_reference(case, m):
                               lo, hi, points=pts, limit=1000, epsabs=1e-12,
                               epsrel=1e-12)[0]
 
-    return quad(lambda x: x - m), quad(lambda x: 1.0)
+    return quad(lambda x: (x - m) ** k), quad(lambda x: 1.0)
+
+
+def _variance(beta):
+    """Var_beta by the rule _count_at reads: the law at m = 0 is centred."""
+    s2, mass = _moments(GradientCase(1.0, beta), 0.0, 2)
+    return s2 / mass
 
 
 def _m_max(beta):
@@ -54,6 +61,19 @@ def _count(case, m_max, grid_n):
         return root_count(case, m_max, grid_n, refine=False)["count"]
     except GridTooCoarse:
         return "too coarse"
+
+
+def _scan_count(gamma, beta):
+    """Root count of a sign-change scan over a range that holds the outer
+    roots, near +-sqrt(gamma/4 + beta/2): 1000 points, then 4000 and 16000
+    where the roots sit within three cells."""
+    case = GradientCase(gamma, beta)
+    m_max = max(6.0, 1.6 * np.sqrt(max(beta, 1.0)), np.sqrt(gamma))
+    for grid_n in (1000, 4000, 16000):
+        count = _count(case, m_max, grid_n)
+        if count != "too coarse":
+            return count
+    return count
 
 
 class TestHFunction:
@@ -275,6 +295,26 @@ class TestBetaC:
         assert beta_c(gamma, tol).value == value
 
 
+class TestVariance:
+    def test_closed_form_at_zero_beta(self):
+        # int x^2 exp(-x^4) / int exp(-x^4) = Gamma(3/4) / Gamma(1/4)
+        want = math.gamma(0.75) / math.gamma(0.25)
+        assert abs(_variance(0.0) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("beta", [-5.0, 0.5, 0.91, 3.0, 50.0, 100.0])
+    def test_matches_adaptive_quadrature(self, beta):
+        s2, mass = _quad_reference(GradientCase(1.0, beta), 0.0, k=2)
+        assert abs(_variance(beta) - s2 / mass) <= 1e-10 * (s2 / mass)
+
+    def test_increases_with_beta(self):
+        # dVar/dbeta = Var(X^2) > 0: one crossing of gamma Var = 1, which is
+        # what makes beta_c's bisection on the count valid
+        betas = np.concatenate((np.linspace(-5.0, 100.0, 211),
+                                np.linspace(0.3, 2.5, 221)))
+        var = [_variance(b) for b in np.unique(betas)]
+        assert np.all(np.diff(var) > 0.0)
+
+
 class TestCountAt:
     # the outer roots sit near +-sqrt(gamma/4 + beta/2); a scan range set
     # from beta alone, max(6, 1.6 sqrt(beta)), missed them once that passed 6
@@ -285,9 +325,9 @@ class TestCountAt:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0, 2.5, 2.9])
     def test_coarse_scan_counts_what_finer_grids_count(self, gamma):
-        # _count_at takes a GridTooCoarse on its 1000-point scan for a count
-        # of 3; a 4000-point scan (16000 where that is still too coarse)
-        # separates the roots and counts them, across the transition
+        # just above the transition the 1000-point scan raises GridTooCoarse;
+        # a 4000-point scan (16000 where that is still too coarse) separates
+        # the roots and counts 3, as _count_at does from the sign of h'(0)
         bc = beta_c(gamma, 1e-3).value
         betas = np.concatenate((np.linspace(bc - 0.01, bc + 0.02, 31),
                                 np.linspace(bc - 0.001, bc + 0.002, 31)))
@@ -302,6 +342,18 @@ class TestCountAt:
                 coarse.append(beta)
                 assert _count_at(gamma, beta) == fine == 3, beta
         assert coarse, "no beta near beta_c where the 1000-point scan is too coarse"
+
+    def test_matches_scan_count(self):
+        # the sign of h'(0) against the roots a scan counts, on a (gamma,
+        # beta) grid whose betas cross beta_c, close by and far off; at
+        # beta_c + 2e-4 the scan needs 4000 or 16000 points
+        for gamma in (0.3, 0.8, 1.3, 1.8, 2.3, 2.8, 3.3):
+            betas = [1e-3, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]
+            if gamma < 2.9:
+                bc = beta_c(gamma, 1e-6).value
+                betas += [bc + d for d in (-0.05, -0.01, -1e-3, 2e-4, 1e-3, 0.01, 0.05)]
+            for beta in betas:
+                assert _count_at(gamma, beta) == _scan_count(gamma, beta), (gamma, beta)
 
     @pytest.mark.parametrize("gamma, beta", [(150.0, 1.0), (1e4, 1.0)])
     def test_outer_root_near_its_estimate(self, gamma, beta):
