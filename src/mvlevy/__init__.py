@@ -11,7 +11,7 @@ from .errors import (MvLevyError, DivergentMoment, InvalidRegion, InfiniteOverla
 from .levy import LevyMeasureSpec, SigmaSpec, tail_moment, overlap_mass, J, sample_increment
 from .drift import DriftSpec, A1Params, eval_drift, lyapunov_params, verify_E12
 from .measures import EmpiricalMeasure, moment, w1, weighted_tv, concentration
-from .simulate import SimConfig, OccupationMeasure, frozen_trajectory, particle_system
+from .simulate import SimConfig, OccupationMeasure, frozen_trajectory
 from .fixed_point import (FixedPointConfig, FixedPointReport, MultiplicityReport,
                           iterate_lambda, multiplicity_search, invariance_check)
 from .conditions import (ThetaTuple, AppendixParams, AppendixConstants,

@@ -104,6 +104,8 @@ def _fp_config(cfg):
 def cmd_sample(args, cfg, out):
     levy = _section(cfg, "levy", levy_mod.LevyMeasureSpec)
     n = _value(cfg, "n", int, 10000)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     dt = _value(cfg, "dt", float, 1.0)
     gen = _rng.stream(_value(cfg, "seed", int))
     draws = levy_mod.sample_increment(levy, dt, gen, size=n)
@@ -216,7 +218,17 @@ def cmd_selfconsistent(args, cfg, out):
         ms = np.linspace(-6.0, 6.0, 241)
         rows = [(m, selfconsistent.h_fn(case, float(m))) for m in ms]
         _write_csv(os.path.join(out, "h_values.csv"), ["m", "h"], rows)
-        report["roots"] = selfconsistent.root_count(case, 6.0, 1000, refine=False)["roots"]
+        # h is concave on m > 0 with h(0) = 0, so h(m_max) < 0 puts every
+        # root inside the scan
+        m_max = 6.0
+        while selfconsistent.h_fn(case, m_max) > 0.0:
+            m_max *= 2.0
+        roots = selfconsistent.root_count(case, m_max, 1000, refine=False)["roots"]
+        count = selfconsistent._count_at(gamma, args.beta)
+        if len(roots) != count:
+            raise GridTooCoarse(f"root count {len(roots)} from the scan on [-{m_max:g}, "
+                                f"{m_max:g}], {count} from the sign of h'(0)")
+        report["roots"] = roots
     _dump(out, "report.json", report)
     return 0
 

@@ -13,11 +13,9 @@ trailing zero word.
 
 import numpy as np
 
-INIT = 1                 # initial states of a frozen run
-INCREMENTS = 2           # noise increments of a frozen run
-RETRY = 3                # increments of the step-halving retry
-PARTICLE_INIT = 4        # initial states of the particle system
-PARTICLE_INCREMENTS = 5  # noise increments of the particle system
+INIT = 1        # initial states of a frozen run
+INCREMENTS = 2  # noise increments of a frozen run
+RETRY = 3       # increments of the step-halving retry
 
 
 def stream(seed, *key):

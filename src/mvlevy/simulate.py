@@ -1,15 +1,13 @@
-"""Euler integration of the frozen-measure SDE and the interacting
-particle system, with time-averaged occupation measures as output.
+"""Euler integration of the frozen-measure SDE, with time-averaged
+occupation measures as output.
 
 Chains advance as one vectorized block drawing from one stream keyed by
 (seed, *key, purpose) (see rng), so the result is independent of how the
-work is scheduled.  The frozen-measure runs and the particle system share
-one integrator: the particle system is the mode whose drift reads the
-measure stats of the current cloud at every step.  With a frozen measure,
-pure stable noise and an affine drift the Euler chain is an AR(1) process,
-and it jumps from one kept state to the next in a single update that is
-exact in law (stable laws are closed under weighted sums); every other
-combination is stepped one Euler step at a time.
+work is scheduled.  With pure stable noise and an affine drift the Euler
+chain is an AR(1) process, and it jumps from one kept state to the next
+in a single update that is exact in law (stable laws are closed under
+weighted sums); every other combination is stepped one Euler step at a
+time.
 """
 
 import math
@@ -113,18 +111,14 @@ def _kept_steps(cfg):
 
 
 def _run_euler(spec, stats, levy, X, cfg, keep, *key):
-    """Advance all chains by T/dt Euler steps of size dt; returns the
-    states after each step in keep (increasing) as one (len(keep), n, d)
-    array, a fresh copy of each kept state.
+    """Advance all chains by T/dt Euler steps of size dt under the drift
+    with the frozen measure stats; returns the states after each step in
+    keep (increasing) as one (len(keep), n, d) array, a fresh copy of each
+    kept state.
 
-    stats are the measure stats of a frozen measure, or None for the
-    particle system: the drift then reads the stats of the current cloud
-    (the state block, uniform weights) at every step, and the blowup guard
-    checks the cloud first, so that the stats are taken of finite states.
-
-    With frozen stats, pure stable noise and an affine drift
-    b(x) = shift - rate x make the Euler chain X <- D X + shift dt + dZ
-    with D = 1 - rate dt, and k of its steps add up to
+    Pure stable noise and an affine drift b(x) = shift - rate x make the
+    Euler chain X <- D X + shift dt + dZ with D = 1 - rate dt, and k of
+    its steps add up to
         X <- D^k X + shift dt sum_j D^j + sum_j D^{k-1-j} dZ_j   (j < k).
     The increments are symmetric stable with index alpha, so the noise sum
     has the law of one increment over the window dt sum_j |D|^{j alpha}
@@ -147,7 +141,7 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     dt = cfg.dt
     n_steps = int(round(cfg.T / dt))
     gen = _rng.stream(cfg.seed, *key)
-    aff = None if stats is None else affine_coefficients(spec, stats)
+    aff = affine_coefficients(spec, stats)
     kept = np.empty((len(keep), n, d))
     # overflow in the updates is the blowup signal, not an error; the guard
     # turns it into a Blowup exception
@@ -164,8 +158,7 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
                 kept[i] = X
                 prev = step
         return kept
-    uniform = np.full(n, 1.0 / n) if stats is None else None  # the cloud's weights
-    field = None if stats is None else field_closure(spec, stats)
+    field = field_closure(spec, stats)
     slot = {step: i for i, step in enumerate(keep)}
     dZ = np.empty((INCREMENT_CHUNK * n, d))
     X, F = X.copy(), np.empty_like(X)  # the caller's block is not written
@@ -176,9 +169,6 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
                                  out=dZ[:n * m]).reshape(m, n, d)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(m):
-                if stats is None:
-                    _check_blowup(X, step)
-                    field = field_closure(spec, measure_stats(spec, X, uniform))
                 step += 1
                 F = field(X, F)
                 np.multiply(F, dt, F)
@@ -226,19 +216,3 @@ def frozen_trajectory(spec, frozen, levy, x0, cfg, key=()):
     n = pts.shape[0]
     return OccupationMeasure(pts, np.full(n, 1.0 / n),
                              T=cfg.T, dt=run.dt, n_chains=cfg.n_chains, ess=n)
-
-
-def particle_system(spec, levy, init, cfg, snapshot_times=None):
-    """N coupled Euler chains whose drift uses the instantaneous empirical
-    law of the whole cloud; snapshots at the requested times (default:
-    terminal state only)."""
-    if cfg.n_chains < 100:
-        raise ValueError("particle system needs n_chains >= 100")
-    gen0 = _rng.stream(cfg.seed, _rng.PARTICLE_INIT)
-    X = _initial_states(init, cfg.n_chains, spec.dim, gen0)
-    n_steps = int(round(cfg.T / cfg.dt))
-    if snapshot_times is None:
-        snapshot_times = [cfg.T]
-    snap_steps = sorted({min(n_steps, max(1, int(round(t / cfg.dt)))) for t in snapshot_times})
-    kept = _run_euler(spec, None, levy, X, cfg, snap_steps, _rng.PARTICLE_INCREMENTS)
-    return [EmpiricalMeasure.from_samples(x) for x in kept]

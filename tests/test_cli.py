@@ -4,6 +4,7 @@ files, overrides, and reproducibility."""
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -54,6 +55,14 @@ class TestSample:
         lines = (out / "samples.csv").read_text().strip().splitlines()
         assert len(lines) == 501  # header plus draws
         assert json.loads((out / "resolved_config.json").read_text())["n"] == 500
+
+    def test_empty_sample_is_validation_error(self, tmp_path, capsys):
+        # n = 0 wrote a report.json holding NaN means (invalid JSON)
+        out = tmp_path / "o"
+        assert main(["sample", "--set", "seed=1", "--set", "levy={}", "--set", "n=0",
+                     "--out", str(out)]) == 2
+        assert "n must be at least 1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_seed_is_validation_error(self, tmp_path):
         cfg = _write_cfg(tmp_path / "c.json", {"levy": {"kind": "stable"}})
@@ -336,6 +345,26 @@ class TestSelfConsistent:
                      "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 3
         assert "closer than 3 cells" in capsys.readouterr().err
         assert (out / "h_values.csv").exists()
+        assert not (out / "report.json").exists()
+
+    def test_beta_report_scans_past_the_outer_roots(self, tmp_path):
+        # at beta = 100 the outer roots sit near +-sqrt(gamma/4 + beta/2)
+        # ~ 7.11, outside [-6, 6]: the scan widens until h(m_max) < 0
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "2", "--beta", "100",
+                     "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 0
+        lo, mid, hi = json.loads((out / "report.json").read_text())["roots"]
+        outer = math.sqrt(2.0 / 4.0 + 100.0 / 2.0)
+        assert mid == 0.0
+        assert abs(hi - outer) <= 0.01 * outer and abs(lo + outer) <= 0.01 * outer
+
+    def test_beta_report_count_mismatch_is_numerical_error(self, tmp_path, capsys):
+        # about 4e-5 above beta_c(2) all three roots share the middle scan
+        # cell, so the scan finds one where the sign of h'(0) gives three
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "2", "--beta", "0.91045",
+                     "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 3
+        assert "root count 1 from the scan" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("argv", [

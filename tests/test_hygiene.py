@@ -1,10 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no function
 binds a local name it never reads, no option goes unset by every caller,
-no random stream is keyed by an integer offset, every config field has a
-type the checker knows, every error the package raises has a CLI exit
-code and every package error is raised, and no module imports scipy, a
-test-only dependency: every CLI command gives its usual exit code with
-scipy blocked."""
+no random stream is keyed by an integer offset, every stream purpose word
+keys a stream, every config field has a type the checker knows, every
+error the package raises has a CLI exit code and every package error is
+raised, and no module imports scipy, a test-only dependency: every CLI
+command gives its usual exit code with scipy blocked."""
 
 import ast
 import builtins
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvlevy import cli, errors
+from mvlevy import cli, errors, rng
 from mvlevy.levy import SigmaSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -284,6 +284,63 @@ def test_stream_offset_check_sees_keys_and_seeds():
         "    e = replace(cfg.sim, seed=cfg.sim.seed + i)\n"
         "    return a, b, c, d, e\n")
     assert _offset_keys(tree) == [(3, "stream"), (4, "stream"), (6, "replace")]
+
+
+def _keyed_purposes(trees, purposes):
+    """The words of purposes that key a stream: named in the arguments of a
+    stream(...) call, or of a call to a function that passes its own *key
+    on to stream(...), directly or through a name assigned in the module
+    and starred into that call."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def words(node):
+        return {name(n) for n in ast.walk(node)} & purposes
+
+    forwarders = {"stream"} | {
+        fn.name for tree in trees for fn in ast.walk(tree)
+        if isinstance(fn, FUNCTIONS) and fn.args.vararg and any(
+            isinstance(c, ast.Call) and name(c.func) == "stream"
+            and any(isinstance(a, ast.Starred) and name(a.value) == fn.args.vararg.arg
+                    for a in c.args)
+            for c in ast.walk(fn))}
+    keyed = set()
+    for tree in trees:
+        assigned = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    assigned.setdefault(name(target), set()).update(words(node.value))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and name(call.func) in forwarders:
+                for arg in call.args:
+                    keyed |= words(arg)
+                    if isinstance(arg, ast.Starred):
+                        keyed |= assigned.get(name(arg.value), set())
+    return keyed
+
+
+def test_every_stream_purpose_keys_a_stream():
+    # a purpose word whose caller is gone is dead: no stream draws for it
+    purposes = {k for k, v in vars(rng).items() if k.isupper() and isinstance(v, int)}
+    assert purposes >= {"INIT", "INCREMENTS", "RETRY"}
+    unkeyed = purposes - _keyed_purposes([ast.parse(p.read_text()) for p in MODULES],
+                                         purposes)
+    assert not unkeyed, f"stream purposes no stream(...) call is keyed by: {sorted(unkeyed)}"
+
+
+def test_purpose_check_follows_forwarded_keys():
+    tree = ast.parse(
+        "def run(cfg, *key):\n"
+        "    return _rng.stream(cfg.seed, *key)\n"
+        "def f(cfg, key, h):\n"
+        "    a = _rng.stream(cfg.seed, *key, _rng.INIT)\n"
+        "    purpose = (h, _rng.RETRY) if h else (_rng.INCREMENTS,)\n"
+        "    b = run(cfg, *key, *purpose)\n"
+        "    c = other(cfg, _rng.SPARE)\n"
+        "    return a, b, c, _rng.DEAD\n")
+    words = {"INIT", "INCREMENTS", "RETRY", "SPARE", "DEAD", "UNUSED"}
+    assert _keyed_purposes([tree], words) == {"INIT", "INCREMENTS", "RETRY"}
 
 
 def _known_type(tp):

@@ -1,6 +1,5 @@
-"""Tests for the Euler integrator, occupation measures, and the coupled
-particle system.  Statistical checks target laws with known moments and use
-three-standard-error bands."""
+"""Tests for the Euler integrator and occupation measures.  Statistical
+checks target laws with known moments and use three-standard-error bands."""
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from mvlevy import (
     LevyMeasureSpec,
     SimConfig,
     frozen_trajectory,
-    particle_system,
     sample_increment,
 )
 from mvlevy import rng as mvrng
@@ -351,88 +349,3 @@ class TestSteppedLoop:
         assert not any(np.shares_memory(kept[i], kept[j])
                        for i in range(len(kept)) for j in range(i))
         assert all(not np.array_equal(kept[i], kept[i - 1]) for i in range(1, len(kept)))
-
-    def test_particle_snapshots_do_not_share_memory(self):
-        spec = DriftSpec("double_well", lam=1.0, kappa=1.0, a1=-1.0, a2=1.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=4)
-        snaps = particle_system(spec, _brownian(scale=0.3), 0.5, cfg,
-                                snapshot_times=[1.0, 2.56, 2.57, 10.0])
-        pts = [s.points for s in snaps]
-        assert not any(np.shares_memory(pts[i], pts[j])
-                       for i in range(len(pts)) for j in range(i))
-        assert all(not np.array_equal(pts[i], pts[i - 1]) for i in range(1, len(pts)))
-
-
-class TestParticleSystem:
-    def test_needs_enough_particles(self):
-        spec = DriftSpec("mean_field_ou", lam=1.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=10, seed=0)
-        with pytest.raises(ValueError):
-            particle_system(spec, _brownian(), 0.0, cfg)
-
-    def test_ou_terminal_moments(self):
-        # coupled OU with lam = 2: terminal law has mean ~ mean(init)
-        # decay e^{-(lam-1)T} ~ 0 and variance ~ 1/(2 lam) = 0.25
-        spec = DriftSpec("mean_field_ou", lam=2.0)
-        cfg = SimConfig(dt=0.01, T=15.0, n_chains=3000, seed=8)
-        (snap,) = particle_system(spec, _brownian(), 1.0, cfg)
-        x = snap.points[:, 0]
-        assert abs(x.mean()) <= 4.0 / np.sqrt(cfg.n_chains)
-        assert abs(x.var() - 0.25) <= 0.03
-
-    def test_mean_conservation_at_unit_rate(self):
-        # lam = 1 makes the empirical mean a martingale: it stays within a
-        # few noise standard errors of the initial mean
-        spec = DriftSpec("mean_field_ou", lam=1.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=2000, seed=12)
-        (snap,) = particle_system(spec, _brownian(), 2.0, cfg)
-        se = np.sqrt(cfg.T / cfg.n_chains)
-        assert abs(snap.points[:, 0].mean() - 2.0) <= 3.0 * se
-
-    def test_noise_dimension_check(self):
-        spec = DriftSpec("mean_field_ou", lam=1.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=0)
-        with pytest.raises(DimensionMismatch):
-            particle_system(spec, LevyMeasureSpec(alpha=1.5, dim=2), 0.0, cfg)
-
-    def test_deterministic_cloud_decay(self):
-        # with negligible noise every particle sits at the cloud mean, so
-        # the drift mean - 2 X is -X and X_k = (1 - dt)^k; the snapshot
-        # steps 100, 300 and 1000 straddle the increment chunk boundaries
-        spec = DriftSpec("mean_field_ou", lam=2.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=3)
-        snaps = particle_system(spec, _brownian(scale=1e-12), 1.0, cfg,
-                                snapshot_times=[1.0, 3.0, 10.0])
-        for snap, k in zip(snaps, (100, 300, 1000)):
-            assert np.allclose(snap.points, (1.0 - cfg.dt) ** k, rtol=0, atol=1e-9)
-
-    def test_diverging_cloud_is_blowup(self):
-        # the cubic overshoots from 1e3 to -1e7 and then to ~1e19: the guard
-        # must trip before the stats of a non-finite cloud are taken
-        spec = DriftSpec("double_well", lam=1.0, kappa=0.0, a1=-1.0, a2=1.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=100, seed=0)
-        with pytest.raises(Blowup) as exc:
-            particle_system(spec, _brownian(scale=0.1), 1e3, cfg)
-        assert exc.value.step == 2
-
-    def test_snapshot_times(self):
-        spec = DriftSpec("mean_field_ou", lam=1.0)
-        cfg = SimConfig(dt=0.01, T=10.0, n_chains=200, seed=4)
-        snaps = particle_system(spec, _brownian(), 0.0, cfg,
-                                snapshot_times=[2.0, 5.0, 10.0])
-        assert len(snaps) == 3
-        for s in snaps:
-            assert s.size == 200
-
-    def test_decoupled_limit_matches_frozen(self):
-        # kappa = 0 double well: particles do not interact, so the terminal
-        # cloud statistics agree with independent frozen chains
-        spec = DriftSpec("double_well", lam=1.0, kappa=0.0, a1=-1.0, a2=1.0)
-        cfg = SimConfig(dt=0.01, T=30.0, n_chains=400, seed=9)
-        (snap,) = particle_system(spec, _brownian(scale=0.3), -1.0, cfg)
-        occ = frozen_trajectory(spec, EmpiricalMeasure.dirac(-1.0),
-                                _brownian(scale=0.3), -1.0,
-                                SimConfig(dt=0.01, T=30.0, n_chains=100, seed=10))
-        m1 = snap.points[:, 0].mean()
-        m2 = occ.points[:, 0].mean()
-        assert abs(m1 - m2) < 0.1
