@@ -216,8 +216,8 @@ def cmd_selfconsistent(args, cfg, out):
     if args.beta is not None:
         case = selfconsistent.GradientCase(gamma, args.beta)
         ms = np.linspace(-6.0, 6.0, 241)
-        rows = [(m, selfconsistent.h_fn(case, float(m))) for m in ms]
-        _write_csv(os.path.join(out, "h_values.csv"), ["m", "h"], rows)
+        _write_csv(os.path.join(out, "h_values.csv"), ["m", "h"],
+                   np.column_stack((ms, selfconsistent.h_fn(case, ms))))
         # h is concave on m > 0 with h(0) = 0, so h(m_max) < 0 puts every
         # root inside the scan
         m_max = 6.0

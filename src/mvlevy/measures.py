@@ -128,7 +128,7 @@ def _w1_1d(x, wx, y, wy):
     # otherwise scipy's CDF rule: integrate |F_x - F_y| over the gaps of the
     # merged support, each CDF divided by its cloud's total mass
     grid = np.concatenate([x, y])
-    grid.sort(kind="mergesort")
+    grid.sort()
     cdfs = []
     for v, w in ((x, wx), (y, wy)):
         order = np.argsort(v)

@@ -41,28 +41,62 @@ class GradientCase:
             raise ValueError(f"beta must be finite, got {self.beta!r}")
 
     def exponent(self, x, m):
+        # x^4 as (x^2)^2: numpy's x ** 4 takes a slow pow() path on
+        # negative bases, about 58 ns a node
         x = np.asarray(x, dtype=float)
-        return self.gamma * m * x - x ** 4 + self.beta * x ** 2
+        x2 = x * x
+        return self.gamma * m * x - x2 * x2 + self.beta * x2
+
+
+def _root_real_parts(*coeffs):
+    """Real parts of the roots of one polynomial per row, coefficients
+    highest degree first (scalars or 1-d arrays over the rows): the
+    eigenvalues of the stacked companion matrices, built as np.roots builds
+    its one."""
+    deg = len(coeffs) - 1
+    companion = np.zeros((max(np.size(c) for c in coeffs), deg, deg))
+    for j, c in enumerate(coeffs[1:]):
+        companion[:, 0, j] = -c / coeffs[0]
+    companion[:, range(1, deg), range(deg - 1)] = 1.0
+    return np.linalg.eigvals(companion).real
 
 
 def _pieces(case, m):
-    """(a, b, fmax): fmax is the exponent's maximum, taken at the real
-    roots of its derivative -4x^3 + 2 beta x + gamma m; a and b bound the
-    one or two intervals where the exponent lies within 60 of fmax, split
-    at m.  The real parts of all four roots of exponent = fmax - 60 cut the
-    line; a piece between cuts is inside when its midpoint clears the
-    level, and adjacent inside pieces join, so a near-double root can
-    neither drop nor split an interval.  Outside [a[0], b[-1]] the
-    exponent drops more than 60 below fmax."""
-    crit = np.roots([-4.0, 0.0, 2.0 * case.beta, case.gamma * m]).real
-    fmax = float(case.exponent(crit, m).max())
-    level = fmax - 60.0
-    ends = np.unique(np.roots([-1.0, 0.0, case.beta, case.gamma * m, -level]).real)
-    inside = case.exponent(0.5 * (ends[:-1] + ends[1:]), m) >= level
-    edge = np.diff(np.concatenate(([0], inside, [0])))
-    a = np.sort(np.append(ends[edge == 1], m))
-    b = np.sort(np.append(ends[edge == -1], m))
-    return a[a < b], b[a < b], fmax
+    """(a, b, fmax) for a 1-d array of m: fmax[i] is the exponent's maximum
+    at m[i], taken at the real roots of its derivative -4x^3 + 2 beta x +
+    gamma m; a[i] and b[i] bound the one or two intervals where the exponent
+    lies within 60 of fmax[i], split at m[i]: at most three pieces, padded
+    to three with zero-width pieces at the row's top end, so a[i, 0] and
+    b[i, -1] bound the support.  A scalar m gives one row's a, b and fmax.
+
+    The real parts of all four roots of exponent = fmax - 60 cut the line;
+    a piece between cuts is inside when its midpoint clears the level (or
+    it has zero width, as between a complex pair's equal real parts), and
+    adjacent inside pieces join, so a near-double root can neither drop
+    nor split an interval.  Outside [a[i, 0], b[i, -1]] the exponent drops
+    more than 60 below fmax[i]."""
+    ms = np.atleast_1d(np.asarray(m, dtype=float))
+    mm = ms[:, None]
+    crit = _root_real_parts(-4.0, 0.0, 2.0 * case.beta, case.gamma * ms)
+    fmax = case.exponent(crit, mm).max(axis=1)
+    level = fmax[:, None] - 60.0
+    ends = np.sort(_root_real_parts(-1.0, 0.0, case.beta, case.gamma * ms, -level[:, 0]),
+                   axis=1)
+    inside = ((ends[:, 1:] == ends[:, :-1])
+              | (case.exponent(0.5 * (ends[:, :-1] + ends[:, 1:]), mm) >= level))
+    edge = np.zeros((len(ms), 5), dtype=np.int8)
+    edge[:, 1:4] = inside
+    edge = np.diff(edge, axis=1)
+    # at most two intervals: their starts (ends) and m sort into the first
+    # three columns, and pairing them in order splits the interval around m
+    a = np.sort(np.hstack((np.where(edge == 1, ends, np.inf), mm)), axis=1)[:, :3]
+    b = np.sort(np.hstack((np.where(edge == -1, ends, np.inf), mm)), axis=1)[:, :3]
+    keep = a < b
+    top = np.where(keep, b, -np.inf).max(axis=1, keepdims=True)
+    a, b = (np.sort(np.where(keep, v, top), axis=1) for v in (a, b))
+    if np.ndim(m) == 0:
+        return a[0], b[0], fmax[0]
+    return a, b, fmax
 
 
 def _gl_rule(panels):
@@ -84,60 +118,87 @@ GL_NODES = 24
 GL_PANELS = 16
 _COARSE, _FINE = _gl_rule(GL_PANELS), _gl_rule(2 * GL_PANELS)
 _RULE_X = np.concatenate((_COARSE[0], _FINE[0]))
-_RULE_W = np.zeros((_RULE_X.size, 2))  # column 0 coarse, column 1 fine
+# columns: coarse weights, fine weights, fine weights squared (for rounding)
+_RULE_W = np.zeros((_RULE_X.size, 3))
 _RULE_W[:_COARSE[0].size, 0] = _COARSE[1]
 _RULE_W[_COARSE[0].size:, 1] = _FINE[1]
+_RULE_W[:, 2] = _RULE_W[:, 1] ** 2
+
+
+# m-rows per block of _h_scan and _moments; a block temporary holds
+# SCAN_BLOCK x 768 floats (49 KB at 8 rows) in _h_scan, and up to
+# 3 SCAN_BLOCK x 4 x 1152 (885 KB) in _moments.
+SCAN_BLOCK = 8
 
 
 def _moments(case, m, k=1):
-    """(int (x - m)^k p, int p) for p = exp(exponent - fmax): k = 1 gives
-    h, and k = 2 at m = 0 the variance times the mass.
+    """(int (x - m)^k p, int p) for p = exp(exponent - fmax), one pair of
+    arrays for a 1-d array of m, one pair of floats for a scalar m: k = 1
+    gives h, and k = 2 at m = 0 the variance times the mass.
 
     The composite Gauss-Legendre rule covers each piece from _pieces,
     where the exponent lies within 60 of fmax: one or two intervals, split
-    at m, where (x - m) changes sign.  Both sums come from the same exp
+    at m, where (x - m) changes sign.  Rows go SCAN_BLOCK at a time, every
+    piece of a block in one batched matrix product, and a row's sums do not
+    depend on the rows beside it.  Both sums come from the same exp
     evaluations.  The fine rule's value is returned.
     Its error estimate is its difference from the coarse rule plus the
     rounding of the exponent, whose terms reach x^4 and |fmax|: eps times
-    their sum at each node, summed in quadrature.  An error above 1e-8 of
-    the mass raises QuadratureFailure.
+    their sum at each node, summed in quadrature.  A row whose error is
+    above 1e-8 of its mass raises QuadratureFailure, naming its m.
     """
-    a, b, fmax = _pieces(case, m)
-    x = (a[:, None] + (b - a)[:, None] * _RULE_X).ravel()
-    w = ((b - a)[:, None, None] * _RULE_W).reshape(-1, 2)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        p = np.exp(case.exponent(x, m) - fmax)
-        g = (x - m) ** k
-        (i_c, i_f), (mass_c, mass) = np.stack((g * p, p)) @ w
-        # roundings at different nodes are independent: they add in quadrature
-        x2 = x * x
-        rounding = w[:, 1] * p * np.finfo(float).eps * (
-            x2 * x2 + abs(case.beta) * x2 + abs(case.gamma * m * x) + abs(fmax))
-        i_round, mass_round = np.linalg.norm((abs(g) * rounding, rounding), axis=1)
-    if not (mass > 0 and math.isfinite(mass) and math.isfinite(i_f)):
-        raise QuadratureFailure("degenerate normalizing mass")
-    err = max(abs(i_f - i_c) + i_round, abs(mass - mass_c) + mass_round)
-    if not err <= 1e-8 * mass:
-        raise QuadratureFailure(f"quadrature error {err:g} too large")
-    return float(i_f), float(mass)
+    ms = np.atleast_1d(np.asarray(m, dtype=float))
+    a, b, fmax = _pieces(case, ms)
+    sums = np.empty((ms.size, 4, 3))
+    for i in range(0, ms.size, SCAN_BLOCK):
+        rows = slice(i, i + SCAN_BLOCK)
+        keep = a[rows] < b[rows]
+        row = i + np.nonzero(keep)[0]
+        lo, width = a[rows][keep], (b[rows] - a[rows])[keep]
+        x = lo[:, None] + width[:, None] * _RULE_X
+        mp, fp = ms[row, None], fmax[row, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            p = np.exp(case.exponent(x, mp) - fp)
+            g = (x - mp) ** k
+            x2 = x * x
+            rounding = p * (x2 * x2 + abs(case.beta) * x2 + abs(case.gamma * mp * x)
+                            + abs(fp))
+            piece = np.stack((g * p, p, (g * rounding) ** 2, rounding ** 2), axis=1) @ _RULE_W
+        piece[:, :2] *= width[:, None, None]
+        piece[:, 2:] *= (width ** 2)[:, None, None]
+        block = np.zeros(keep.shape + piece.shape[1:])
+        block[keep] = piece
+        sums[rows] = block.sum(axis=1)
+    (i_c, i_f), (mass_c, mass) = sums[:, 0, :2].T, sums[:, 1, :2].T
+    # roundings at different nodes are independent: they add in quadrature
+    i_round, mass_round = np.finfo(float).eps * np.sqrt(sums[:, 2:, 2].T)
+    degenerate = ~((mass > 0) & np.isfinite(mass) & np.isfinite(i_f))
+    with np.errstate(invalid="ignore"):
+        err = np.maximum(abs(i_f - i_c) + i_round, abs(mass - mass_c) + mass_round)
+        failed = np.flatnonzero(degenerate | ~(err <= 1e-8 * mass))
+    if failed.size:
+        j = failed[0]
+        what = ("degenerate normalizing mass" if degenerate[j]
+                else f"quadrature error {err[j]:g} too large")
+        raise QuadratureFailure(f"{what} at m = {float(ms[j])!r}")
+    if np.ndim(m) == 0:
+        return float(i_f[0]), float(mass[0])
+    return i_f, mass
 
 
 def h_fn(case, m):
-    """int (x - m) exp(gamma m x - x^4 + beta x^2 - fmax) dx.
+    """int (x - m) exp(gamma m x - x^4 + beta x^2 - fmax) dx, at each m of a
+    1-d array (an array back) or at a scalar m (a float back).
 
     The exponent is shifted by its max for stable quadrature; the shift
     rescales h by a positive constant and leaves its roots and signs alone.
     The integral is the composite Gauss-Legendre rule of _moments over the
-    pieces of the support, and raises QuadratureFailure when its error
-    estimate exceeds 1e-8 of the mass: from beta of about 3e3 on, where
-    rounding the exponent's terms (about beta^2) moves h by that much.
+    pieces of the support, and raises QuadratureFailure, naming the first
+    failing m, when its error estimate exceeds 1e-8 of the mass: from beta
+    of about 3e3 on, where rounding the exponent's terms (about beta^2)
+    moves h by that much.
     """
     return _moments(case, m)[0]
-
-
-# m-rows per block of _h_scan; each block temporary holds SCAN_BLOCK x 768
-# floats (49 KB at 8 rows).
-SCAN_BLOCK = 8
 
 
 def _h_scan(case, m_max, grid_n):
