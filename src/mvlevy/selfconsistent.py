@@ -149,26 +149,35 @@ def _moments(case, m, k=1):
     """
     ms = np.atleast_1d(np.asarray(m, dtype=float))
     a, b, fmax = _pieces(case, ms)
-    sums = np.empty((ms.size, 4, 3))
-    for i in range(0, ms.size, SCAN_BLOCK):
-        rows = slice(i, i + SCAN_BLOCK)
-        keep = a[rows] < b[rows]
-        row = i + np.nonzero(keep)[0]
-        lo, width = a[rows][keep], (b[rows] - a[rows])[keep]
-        x = lo[:, None] + width[:, None] * _RULE_X
-        mp, fp = ms[row, None], fmax[row, None]
+    keep = a < b  # drops the zero-width pads
+    row = np.nonzero(keep)[0]
+    lo, width = a[keep], (b - a)[keep]
+    piece = np.empty((lo.size, 4, 3))
+    for i in range(0, lo.size, SCAN_BLOCK):
+        blk = slice(i, i + SCAN_BLOCK)
+        x = lo[blk, None] + width[blk, None] * _RULE_X
+        mp, fp = ms[row[blk], None], fmax[row[blk], None]
+        # per piece the rows g p, p, (g rounding)^2 and rounding^2, filled in
+        # place to keep the block's memory small
+        cols = np.empty((len(x), 4, _RULE_X.size))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            p = np.exp(case.exponent(x, mp) - fp)
+            p = np.exp(case.exponent(x, mp) - fp, out=cols[:, 1])
             g = (x - mp) ** k
-            x2 = x * x
-            rounding = p * (x2 * x2 + abs(case.beta) * x2 + abs(case.gamma * mp * x)
-                            + abs(fp))
-            piece = np.stack((g * p, p, (g * rounding) ** 2, rounding ** 2), axis=1) @ _RULE_W
-        piece[:, :2] *= width[:, None, None]
-        piece[:, 2:] *= (width ** 2)[:, None, None]
-        block = np.zeros(keep.shape + piece.shape[1:])
-        block[keep] = piece
-        sums[rows] = block.sum(axis=1)
+            np.multiply(g, p, out=cols[:, 0])
+            rounding = abs(case.gamma * mp * x)
+            x *= x
+            rounding += x * x + abs(case.beta) * x + abs(fp)
+            rounding *= p
+            g *= rounding
+            np.square(g, out=cols[:, 2])
+            np.square(rounding, out=cols[:, 3])
+            piece[blk] = cols @ _RULE_W
+    piece[:, :2] *= width[:, None, None]
+    piece[:, 2:] *= (width ** 2)[:, None, None]
+    # a row's sums add its pieces in order, whatever rows share its blocks
+    sums = np.zeros(keep.shape + piece.shape[1:])
+    sums[keep] = piece
+    sums = sums.sum(axis=1)
     (i_c, i_f), (mass_c, mass) = sums[:, 0, :2].T, sums[:, 1, :2].T
     # roundings at different nodes are independent: they add in quadrature
     i_round, mass_round = np.finfo(float).eps * np.sqrt(sums[:, 2:, 2].T)
