@@ -51,7 +51,7 @@ class GradientCase:
 def _root_real_parts(*coeffs):
     """Real parts of the roots of one polynomial per row, coefficients
     highest degree first (scalars or 1-d arrays over the rows): the
-    eigenvalues of the stacked companion matrices, built as np.roots builds
+    eigenvalues of the stacked companion matrices, built as numpy.roots builds
     its one."""
     deg = len(coeffs) - 1
     companion = np.zeros((max(np.size(c) for c in coeffs), deg, deg))
@@ -125,9 +125,9 @@ _RULE_W[_COARSE[0].size:, 1] = _FINE[1]
 _RULE_W[:, 2] = _RULE_W[:, 1] ** 2
 
 
-# m-rows per block of _h_scan and _moments; a block temporary holds
-# SCAN_BLOCK x 768 floats (49 KB at 8 rows) in _h_scan, and up to
-# 3 SCAN_BLOCK x 4 x 1152 (885 KB) in _moments.
+# m-rows per block of _h_scan, pieces per block of _moments: a block
+# temporary holds SCAN_BLOCK x 768 floats (49 KB at 8) in _h_scan and
+# SCAN_BLOCK x 4 x 1152 (295 KB) in _moments.
 SCAN_BLOCK = 8
 
 
@@ -138,10 +138,11 @@ def _moments(case, m, k=1):
 
     The composite Gauss-Legendre rule covers each piece from _pieces,
     where the exponent lies within 60 of fmax: one or two intervals, split
-    at m, where (x - m) changes sign.  Rows go SCAN_BLOCK at a time, every
-    piece of a block in one batched matrix product, and a row's sums do not
-    depend on the rows beside it.  Both sums come from the same exp
-    evaluations.  The fine rule's value is returned.
+    at m, where (x - m) changes sign.  The pieces of all rows go SCAN_BLOCK
+    at a time through one batched matrix product, so memory does not grow
+    with the number of rows, and a row's sums do not depend on the rows
+    beside it.  Both sums come from the same exp evaluations.  The fine
+    rule's value is returned.
     Its error estimate is its difference from the coarse rule plus the
     rounding of the exponent, whose terms reach x^4 and |fmax|: eps times
     their sum at each node, summed in quadrature.  A row whose error is

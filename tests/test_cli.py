@@ -367,6 +367,16 @@ class TestSelfConsistent:
         assert "root count 1 from the scan" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_h_table_quadrature_failure_names_m(self, tmp_path, capsys):
+        # at beta = 1e4 no row of the table passes the error check; the
+        # message names the first failing m, and no table or report is left
+        out = tmp_path / "o"
+        assert main(["selfconsistent", "--gamma", "2", "--beta", "1e4",
+                     "--beta-scan", "1:1:1", "--out", str(out)]) == 3
+        assert "too large at m = -6.0" in capsys.readouterr().err
+        assert not (out / "h_values.csv").exists()
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--gamma", "0"], ["--gamma", "-1"], ["--gamma", "inf"], ["--gamma", "nan"],
         ["--set", "gamma=0"], ["--set", "gamma=Infinity"], ["--set", "gamma=NaN"],

@@ -250,6 +250,36 @@ class TestW1:
         assert w1(mu, nu) == w1(mu, nu)
 
 
+def _w1_mergesort_reference(x, wx, y, wy):
+    """_w1_1d's CDF rule with the merged grid sorted stably."""
+    grid = np.sort(np.concatenate([x, y]), kind="mergesort")
+    cdfs = []
+    for v, w in ((x, wx), (y, wy)):
+        order = np.argsort(v)
+        cum = np.concatenate([[0.0], np.cumsum(w[order])])
+        cdfs.append(cum[v[order].searchsorted(grid[:-1], "right")] / cum[-1])
+    return float(np.abs(cdfs[0] - cdfs[1]) @ np.diff(grid))
+
+
+class TestW1GridSort:
+    def test_equals_mergesort_reference(self):
+        # the merged grid's order among equal values (ties, -0.0 beside
+        # 0.0) is the only thing the sort kind can change; W1 does not move
+        gen = np.random.default_rng(29)
+        values = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+        for n1, n2 in ((1, 1000), (7, 5), (300, 301), (64, 64)):
+            x, y = gen.choice(values, n1), gen.choice(values, n2) + gen.choice([0.0, 0.25], n2)
+            wx, wy = gen.random(n1) + 0.1, gen.random(n2) + 0.1
+            assert _w1_1d(x, wx, y, wy) == _w1_mergesort_reference(x, wx, y, wy)
+
+    def test_dirac_against_large_cloud(self):
+        gen = np.random.default_rng(31)
+        y = np.round(gen.standard_normal(10 ** 5), 2)
+        y[::7] = -0.0
+        args = (np.zeros(1), np.ones(1), y, np.full(y.size, 1e-5))
+        assert _w1_1d(*args) == _w1_mergesort_reference(*args)
+
+
 def _scipy_close(x, wx, y, wy):
     ref = wasserstein_distance(x, y, wx, wy)
     got = _w1_1d(x, wx / wx.sum(), y, wy / wy.sum())

@@ -151,6 +151,47 @@ class TestQuadrature:
         assert abs(h_fn(case, m) - h) <= 1e-9 * mass
 
 
+class TestBatchedH:
+    # the m-grid of the CLI's h_values.csv; (2, 1) and (0.5, 50) between
+    # them have rows of one, two and three pieces
+    MS = np.linspace(-6.0, 6.0, 241)
+    CASES = [(2.0, 1.0), (0.5, 50.0)]
+
+    def test_grid_has_every_piece_count_and_zero(self):
+        counts = set()
+        for gamma, beta in self.CASES:
+            a, b, _ = _pieces(GradientCase(gamma, beta), self.MS)
+            counts |= set((a < b).sum(axis=1).tolist())
+        assert counts == {1, 2, 3}
+        assert self.MS[120] == 0.0
+
+    @pytest.mark.parametrize("gamma, beta", CASES)
+    def test_row_alone_equals_row_in_batch(self, gamma, beta):
+        case = GradientCase(gamma, beta)
+        alone = np.array([h_fn(case, m) for m in self.MS])
+        assert np.array_equal(alone.view(np.int64), h_fn(case, self.MS).view(np.int64))
+
+    @pytest.mark.parametrize("block", [1, 5, 2000])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, block):
+        case = GradientCase(0.5, 50.0)
+        want = h_fn(case, self.MS)
+        monkeypatch.setattr(selfconsistent, "SCAN_BLOCK", block)
+        assert np.array_equal(want.view(np.int64), h_fn(case, self.MS).view(np.int64))
+
+    @pytest.mark.parametrize("gamma, beta", CASES + [(0.5, 100.0)])
+    def test_table_matches_adaptive_quadrature(self, gamma, beta):
+        case = GradientCase(gamma, beta)
+        for m, got in zip(self.MS, h_fn(case, self.MS)):
+            h, mass = _quad_reference(case, m)
+            assert abs(got - h) <= 1e-10 * mass, m
+
+    def test_failing_row_is_named(self):
+        # at beta = 1e4 rounding the exponent's terms moves h by more than
+        # 1e-8 of the mass at every m; the first row fails first
+        with pytest.raises(QuadratureFailure, match=r"too large at m = -6\.0$"):
+            h_fn(GradientCase(2.0, 1e4), self.MS)
+
+
 class TestRootCount:
     def test_single_root_below_transition(self):
         res = root_count(GradientCase(2.0, 0.5), 6.0, 1000)
