@@ -122,12 +122,12 @@ class CaseViolation(MvLevyError):
 
 
 class QuadratureFailure(MvLevyError):
-    """An integral could not be evaluated to its tolerance, or at all, or
-    a root of one could not be bracketed."""
+    """An integral could not be evaluated to its tolerance, or at all."""
 
 
 class GridTooCoarse(MvLevyError):
-    """Root scan grid cannot separate adjacent roots."""
+    """The root search grid puts the positive root of h within three cells
+    of 0, so it cannot separate the roots."""
 
 
 class NoTransition(MvLevyError):

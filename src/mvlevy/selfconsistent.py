@@ -112,8 +112,7 @@ def _gl_rule(panels):
 # against 2 GL_PANELS (fine), GL_NODES nodes per panel.  Against adaptive
 # quadrature this agreed within 1.1e-12 of the mass for gamma in [0.5, 4],
 # beta in [-50, 100] and |m| <= 12, and within 3e-10 at beta = 1000, where
-# rounding the exponent's terms (about 1e6) dominates.  _h_scan uses the
-# fine rule too.
+# rounding the exponent's terms (about 1e6) dominates.
 GL_NODES = 24
 GL_PANELS = 16
 _COARSE, _FINE = _gl_rule(GL_PANELS), _gl_rule(2 * GL_PANELS)
@@ -125,9 +124,8 @@ _RULE_W[_COARSE[0].size:, 1] = _FINE[1]
 _RULE_W[:, 2] = _RULE_W[:, 1] ** 2
 
 
-# m-rows per block of _h_scan, pieces per block of _moments: a block
-# temporary holds SCAN_BLOCK x 768 floats (49 KB at 8) in _h_scan and
-# SCAN_BLOCK x 4 x 1152 (295 KB) in _moments.
+# pieces per block of _moments: a block temporary holds SCAN_BLOCK x 4 x
+# 1152 floats (295 KB at 8).
 SCAN_BLOCK = 8
 
 
@@ -211,78 +209,65 @@ def h_fn(case, m):
     return _moments(case, m)[0]
 
 
-def _h_scan(case, m_max, grid_n):
-    """(ms, hs): hs = mean - m of the candidate density at each m of
-    ms = linspace(-m_max, m_max, grid_n), a positive multiple of h(m);
-    enough for sign scanning, and roots are refined by h_fn.
-
-    h(-m) = -h(m), as the exponent is unchanged under (x, m) -> (-x, -m):
-    only the upper half ms[grid_n // 2:] is integrated, and the lower half
-    of ms and hs is its negated mirror.  Every row uses the nodes and
-    weights of _moments' fine rule on the union of the supports at
-    +-m_max.  Per row hs = S1 / S0 - m, with S_k = sum_j w_j x_j^k
-    exp(e_j - max e), so a block of SCAN_BLOCK rows is summed by one
-    matrix product with [w x, w]; memory does not grow with grid_n.
-    """
-    half = np.linspace(-m_max, m_max, grid_n)[grid_n // 2:]
-    half[:grid_n % 2] = 0.0  # an odd grid's middle row; linspace can miss 0
-    a, b, _ = _pieces(case, m_max)
-    hi = float(max(b[-1], -a[0]))  # the support at -m_max is the mirror
-    lo = -hi
-    xs, w = lo + (hi - lo) * _FINE[0], (hi - lo) * _FINE[1]
-    f = case.beta * xs ** 2 - xs ** 4
-    weights = np.column_stack((w * xs, w))
-    sums = np.empty((half.size, 2))
-    for i in range(0, half.size, SCAN_BLOCK):
-        e = case.gamma * half[i:i + SCAN_BLOCK, None] * xs + f
-        sums[i:i + len(e)] = np.exp(e - e.max(axis=1, keepdims=True)) @ weights
-    hs = sums[:, 0] / sums[:, 1] - half
-    return (np.concatenate((-half[::-1][:grid_n // 2], half)),
-            np.concatenate((-hs[::-1][:grid_n // 2], hs)))
-
-
 def _bisect(case, a, b):
-    """A root of h_fn in the scan cell [a, b], bisected to width 1e-8.
-    QuadratureFailure names the cell when h_fn does not change sign on it:
-    the scan saw a sign change there that h_fn does not."""
-    fa = h_fn(case, a)
-    if fa * h_fn(case, b) > 0.0:
-        raise QuadratureFailure(f"h_fn does not change sign on the scan cell "
-                                f"[{a:.10g}, {b:.10g}]")
+    """The root of h_fn in [a, b], where h_fn(a) > 0 >= h_fn(b), bisected
+    to width 1e-8."""
     for _ in range(math.ceil(math.log2((b - a) / 1e-8))):
         mid = 0.5 * (a + b)
-        f_mid = h_fn(case, mid)
-        if fa * f_mid > 0.0:
-            a, fa = mid, f_mid
+        if h_fn(case, mid) > 0.0:
+            a = mid
         else:
             b = mid
     return 0.5 * (a + b)
 
 
 def root_count(case, m_max, grid_n, refine=True):
-    """Sign-change scan of h on [-m_max, m_max]; each root is refined by
-    bisecting h_fn on its scan cell, or with refine=False interpolated
-    linearly.  Tangential near-zeros without a sign flip are not counted.
+    """Roots of h in [-m_max, m_max]: the count from the sign of h'(0)
+    (_count_at), and the one positive root r, if any, located on the grid
+    linspace(-m_max, m_max, grid_n) by a search of h_fn; the roots are -r,
+    0 and r.  From the first grid point with m > 0 the search gallops
+    (offsets 1, 2, 4, ...) to a point where h_fn <= 0, then bisects the grid
+    indices to the first such point, so every probe stays within about 2r.
+    r is refined by bisecting h_fn on its cell, or with refine=False
+    interpolated linearly between the cell's ends.  A root beyond m_max is
+    not counted.  GridTooCoarse is raised when r lies within three cells
+    of 0.
     """
     if grid_n < 1000:
         raise ValueError("grid_n must be >= 1000")
-    ms, hs = _h_scan(case, m_max, grid_n)
-    roots = []
-    for i in range(grid_n - 1):
-        if hs[i] == 0.0:
-            roots.append(float(ms[i]))
-        elif hs[i] * hs[i + 1] < 0.0:
-            if refine:
-                r = _bisect(case, ms[i], ms[i + 1])
-            else:
-                r = ms[i] - hs[i] * (ms[i + 1] - ms[i]) / (hs[i + 1] - hs[i])
-            roots.append(float(r))
-    roots = sorted(roots)
+    if _count_at(case.gamma, case.beta) == 1:
+        return {"roots": [0.0], "count": 1}
+    ms = np.linspace(-m_max, m_max, grid_n)
     cell = ms[1] - ms[0]
-    for r1, r2 in zip(roots, roots[1:]):
-        if r2 - r1 < 3.0 * cell:
-            raise GridTooCoarse(f"roots {r1:.6g} and {r2:.6g} closer than 3 cells")
-    return {"roots": roots, "count": len(roots)}
+    first = (grid_n + 1) // 2  # an odd grid's middle point is not m > 0
+    lo, h_lo = first, h_fn(case, ms[first])
+    if h_lo <= 0.0:
+        raise GridTooCoarse(f"roots 0 and one in (0, {ms[first]:.6g}] "
+                            "closer than 3 cells")
+    step = 1
+    while True:
+        hi = min(first + step, grid_n - 1)
+        h_hi = h_fn(case, ms[hi])
+        if h_hi <= 0.0:
+            break
+        if hi == grid_n - 1:  # r lies beyond m_max
+            return {"roots": [0.0], "count": 1}
+        lo, h_lo, step = hi, h_hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        h_mid = h_fn(case, ms[mid])
+        if h_mid > 0.0:
+            lo, h_lo = mid, h_mid
+        else:
+            hi, h_hi = mid, h_mid
+    if refine:
+        r = _bisect(case, ms[lo], ms[hi])
+    else:
+        r = ms[lo] - h_lo * (ms[hi] - ms[lo]) / (h_hi - h_lo)
+    r = float(r)
+    if r < 3.0 * cell:
+        raise GridTooCoarse(f"roots 0 and {r:.6g} closer than 3 cells")
+    return {"roots": [-r, 0.0, r], "count": 3}
 
 
 @dataclass(frozen=True)

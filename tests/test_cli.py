@@ -326,8 +326,8 @@ class TestSelfConsistent:
 
     @pytest.mark.parametrize("beta", [0.5, 3.0])
     def test_beta_report_roots(self, tmp_path, beta):
-        # the roots of one 1000-point scan over the m-range of h_values.csv;
-        # the count agrees with beta_c's criterion, the sign of h'(0)
+        # the roots root_count finds on a 1000-point grid over the m-range of
+        # h_values.csv; the count is beta_c's criterion, the sign of h'(0)
         out = tmp_path / "o"
         assert main(["selfconsistent", "--gamma", "2.0", "--beta", str(beta),
                      "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 0
@@ -359,12 +359,14 @@ class TestSelfConsistent:
         assert abs(hi - outer) <= 0.01 * outer and abs(lo + outer) <= 0.01 * outer
 
     def test_beta_report_count_mismatch_is_numerical_error(self, tmp_path, capsys):
-        # about 4e-5 above beta_c(2) all three roots share the middle scan
-        # cell, so the scan finds one where the sign of h'(0) gives three
+        # about 4e-5 above beta_c(2) the sign of h'(0) gives three roots, but
+        # h_fn is already negative at the first grid point m > 0, half a cell
+        # from 0, so root_count cannot place the positive root
         out = tmp_path / "o"
         assert main(["selfconsistent", "--gamma", "2", "--beta", "0.91045",
                      "--beta-scan", "1.0:1.0:1.0", "--out", str(out)]) == 3
-        assert "root count 1 from the scan" in capsys.readouterr().err
+        assert ("roots 0 and one in (0, 0.00600601] closer than 3 cells"
+                in capsys.readouterr().err)
         assert not (out / "report.json").exists()
 
     def test_h_table_quadrature_failure_names_m(self, tmp_path, capsys):

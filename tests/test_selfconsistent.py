@@ -17,14 +17,8 @@ from mvlevy import (
     stationary_density,
 )
 from mvlevy import selfconsistent
-from mvlevy.selfconsistent import (GAMMA_C, BetaCResult, GradientCase, _count_at, _h_scan,
+from mvlevy.selfconsistent import (GAMMA_C, BetaCResult, GradientCase, _count_at,
                                    _moments, _pieces)
-
-
-def _h_rows_reference(case, ms):
-    """h / mass = mean - m at each m, by _moments on the row's own support."""
-    rows = [_moments(case, m) for m in ms]
-    return np.array([h / mass for h, mass in rows])
 
 
 def _quad_reference(case, m, k=1):
@@ -56,24 +50,22 @@ def _m_max(beta):
     return max(6.0, 1.6 * np.sqrt(max(beta, 1.0)))
 
 
-def _count(case, m_max, grid_n):
-    try:
-        return root_count(case, m_max, grid_n, refine=False)["count"]
-    except GridTooCoarse:
-        return "too coarse"
-
-
-def _scan_count(gamma, beta):
-    """Root count of a sign-change scan over a range that holds the outer
-    roots, near +-sqrt(gamma/4 + beta/2): 1000 points, then 4000 and 16000
-    where the roots sit within three cells."""
-    case = GradientCase(gamma, beta)
+def _sign_count(gamma, beta):
+    """Root count of h from the sign changes of one batched h_fn over a
+    geometric grid of m > 0 that reaches past the outer roots, near
+    +-sqrt(gamma/4 + beta/2): h is odd, so 0 is a root and each positive
+    root has a negative twin.  It reads neither _count_at nor root_count.
+    Its first point, 1e-3, lies below the positive root at beta_c + 2e-4."""
     m_max = max(6.0, 1.6 * np.sqrt(max(beta, 1.0)), np.sqrt(gamma))
-    for grid_n in (1000, 4000, 16000):
-        count = _count(case, m_max, grid_n)
-        if count != "too coarse":
-            return count
-    return count
+    hs = h_fn(GradientCase(gamma, beta), np.geomspace(1e-3, m_max, 400))
+    return 1 + 2 * int(np.count_nonzero(np.diff(np.sign(hs))))
+
+
+def _grid_scan(case, m_max, grid_n):
+    """(ms, hs) on the grid points m > 0 of linspace(-m_max, m_max,
+    grid_n), hs by one batched h_fn call over all of them."""
+    ms = np.linspace(-m_max, m_max, grid_n)[(grid_n + 1) // 2:]
+    return ms, h_fn(case, ms)
 
 
 class TestHFunction:
@@ -208,13 +200,38 @@ class TestRootCount:
         # refined roots are actual zeros of h
         assert abs(h_fn(GradientCase(2.0, 3.0), r[2])) < 1e-6
 
-    def test_cell_without_sign_change_is_quadrature_failure(self):
-        # at gamma = 1e4 the scan's nodes barely reach the outer modes, so
-        # its sign change sits one cell off h_fn's root near -50: refining
-        # there finds no bracket and names the cell
-        with pytest.raises(QuadratureFailure,
-                           match=r"does not change sign on the scan cell \[-49\.9"):
-            root_count(GradientCase(1e4, 1.0), 100.0, 1000)
+    def test_large_gamma_outer_roots_are_refined(self):
+        # the scan that placed the roots before spread its nodes over
+        # [-63, 63], put the outer sign change a cell off h_fn's root near
+        # 50 and raised QuadratureFailure; h_fn raises from m ~ 75 on, so
+        # the search must not probe there
+        gamma, beta = 1e4, 1.0
+        res = root_count(GradientCase(gamma, beta), 100.0, 1000)
+        assert res["count"] == 3
+        outer = math.sqrt(gamma / 4.0 + beta / 2.0)
+        assert res["roots"][0] == pytest.approx(-outer, rel=1e-6)
+        assert res["roots"][1] == 0.0
+        assert res["roots"][2] == pytest.approx(outer, rel=1e-6)
+
+    def test_search_probes_logarithmically(self, monkeypatch):
+        # a full scan of the grid's positive half evaluates 500 rows
+        calls = []
+        h = selfconsistent.h_fn
+        monkeypatch.setattr(selfconsistent, "h_fn",
+                            lambda case, m: calls.append(m) or h(case, m))
+        res = root_count(GradientCase(2.0, 1.0), 6.0, 1000, refine=False)
+        assert res["count"] == 3
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(1000))
+        assert all(np.ndim(m) == 0 and 0.0 < m < 2.0 * res["roots"][-1] + 0.05
+                   for m in calls)
+
+    def test_count_one_probes_nothing(self, monkeypatch):
+        monkeypatch.setattr(selfconsistent, "h_fn", None)
+        assert root_count(GradientCase(2.0, 0.5), 6.0, 1000) == {"roots": [0.0], "count": 1}
+
+    def test_root_beyond_range_is_not_counted(self):
+        # the outer roots near +-7.1 lie outside [-6, 6]
+        assert root_count(GradientCase(2.0, 100.0), 6.0, 1000)["roots"] == [0.0]
 
     def test_grid_too_coarse_near_transition(self):
         # just above the transition the outer roots sit within three cells
@@ -249,47 +266,48 @@ class TestRootCount:
 
 
 class TestHScan:
-    def _assert_matches_whole_matrix(self, monkeypatch, gamma, beta, grid_n):
-        # every row of the scan against _moments on that row's own support,
-        # split at m; the reference shares no code with the scan
+    # root_count's search against a sign scan of h_fn over every grid point
+    # m > 0 in one batched call: the same cell and, interpolated in it
+    # from the same h values, the same root
+    def _assert_matches_grid_scan(self, gamma, beta, grid_n):
         case = GradientCase(gamma, beta)
         m_max = _m_max(beta)
-        ms, hs = _h_scan(case, m_max, grid_n)
-        ref = _h_rows_reference(case, ms)
-        scale = np.abs(ref).max()
-        assert np.abs(hs - ref).max() <= 1e-11 * scale
-        clear = np.abs(ref) > 1e-10 * scale
-        assert np.array_equal(np.sign(hs[clear]), np.sign(ref[clear]))
-        count = _count(case, m_max, grid_n)
-        monkeypatch.setattr(selfconsistent, "_h_scan", lambda c, mm, n: (ms, ref))
-        assert count == _count(case, m_max, grid_n)
+        ms, hs = _grid_scan(case, m_max, grid_n)
+        got = root_count(case, m_max, grid_n, refine=False)["roots"]
+        change = np.flatnonzero(np.diff(np.sign(hs)))
+        assert len(got) == 1 + 2 * change.size
+        if change.size:
+            i, = change
+            want = float(ms[i] - hs[i] * (ms[i + 1] - ms[i]) / (hs[i + 1] - hs[i]))
+            assert got == [-want, 0.0, want]
 
     @pytest.mark.parametrize("grid_n", [1000, 1003])
     @pytest.mark.parametrize("gamma, beta", [(1.0, 0.001), (2.0, 0.91), (2.0, 3.0),
                                              (2.5, 50.0), (4.0, 100.0)])
-    def test_matches_whole_matrix(self, monkeypatch, gamma, beta, grid_n):
-        # 1003 is odd and not a multiple of the block size: the middle row
-        # is integrated and the last block is partial
-        self._assert_matches_whole_matrix(monkeypatch, gamma, beta, grid_n)
+    def test_matches_whole_matrix(self, gamma, beta, grid_n):
+        # 1003 is odd: its middle point is not a positive grid point
+        self._assert_matches_grid_scan(gamma, beta, grid_n)
 
     @pytest.mark.parametrize("block", [1, 13, 2000])
     def test_any_block_size_matches_whole_matrix(self, monkeypatch, block):
         monkeypatch.setattr(selfconsistent, "SCAN_BLOCK", block)
-        self._assert_matches_whole_matrix(monkeypatch, 2.0, 0.95, 1000)
+        self._assert_matches_grid_scan(2.0, 0.95, 1000)
 
     @pytest.mark.parametrize("m_max, grid_n", [(6.0, 1000), (6.0, 1003), (16.0, 1003)])
-    def test_grid_is_odd_symmetric(self, m_max, grid_n):
-        # linspace(-16, 16, 1003) puts its middle point at -1.8e-15, not 0
-        ms, hs = _h_scan(GradientCase(2.0, 3.0), m_max, grid_n)
-        assert len(ms) == len(hs) == grid_n
-        assert ms[0] == -m_max and ms[-1] == m_max and np.all(np.diff(ms) > 0)
-        assert np.array_equal(ms, -ms[::-1])
-        assert np.allclose(ms, np.linspace(-m_max, m_max, grid_n), rtol=0, atol=1e-13)
-        low = grid_n // 2
-        assert np.array_equal(hs[:low], -hs[::-1][:low])
-        if grid_n % 2:
-            # the middle row is integrated: h(0) = 0 up to rounding
-            assert ms[low] == 0.0 and abs(hs[low]) < 1e-12 * np.abs(hs).max()
+    def test_grid_is_odd_symmetric(self, monkeypatch, m_max, grid_n):
+        # linspace(-16, 16, 1003) puts its middle point at -1.8e-15, not 0;
+        # no grid's search probes its middle point, and every grid gives
+        # the same refined roots, mirrored about an exact 0
+        calls = []
+        h = selfconsistent.h_fn
+        monkeypatch.setattr(selfconsistent, "h_fn",
+                            lambda case, m: calls.append(m) or h(case, m))
+        roots = root_count(GradientCase(2.0, 3.0), m_max, grid_n)["roots"]
+        half_cell = m_max / (grid_n - 1)
+        assert min(calls) > 0.99 * half_cell
+        ref = root_count(GradientCase(2.0, 3.0), 6.0, 1000)["roots"]
+        assert roots[0] == -roots[2] and roots[1] == 0.0
+        assert roots == pytest.approx(ref, rel=0, abs=1e-8)
 
 
 class TestBetaC:
@@ -366,9 +384,10 @@ class TestCountAt:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0, 2.5, 2.9])
     def test_coarse_scan_counts_what_finer_grids_count(self, gamma):
-        # just above the transition the 1000-point scan raises GridTooCoarse;
-        # a 4000-point scan (16000 where that is still too coarse) separates
-        # the roots and counts 3, as _count_at does from the sign of h'(0)
+        # just above the transition a 1000-point root_count raises
+        # GridTooCoarse; a 4000-point grid (16000 where that is still too
+        # coarse) separates the roots, and h_fn changes sign across the
+        # positive one
         bc = beta_c(gamma, 1e-3).value
         betas = np.concatenate((np.linspace(bc - 0.01, bc + 0.02, 31),
                                 np.linspace(bc - 0.001, bc + 0.002, 31)))
@@ -376,25 +395,30 @@ class TestCountAt:
         for beta in map(float, betas):
             case = GradientCase(gamma, beta)
             m_max = max(6.0, 1.6 * np.sqrt(max(beta, 1.0)), np.sqrt(gamma))
-            if _count(case, m_max, 1000) == "too coarse":
-                fine = _count(case, m_max, 4000)
-                if fine == "too coarse":
-                    fine = _count(case, m_max, 16000)
+            try:
+                root_count(case, m_max, 1000, refine=False)
+                continue
+            except GridTooCoarse:
                 coarse.append(beta)
-                assert _count_at(gamma, beta) == fine == 3, beta
-        assert coarse, "no beta near beta_c where the 1000-point scan is too coarse"
+            try:
+                roots = root_count(case, m_max, 4000)["roots"]
+            except GridTooCoarse:
+                roots = root_count(case, m_max, 16000)["roots"]
+            lo, mid, hi = roots
+            assert lo == -hi and mid == 0.0, beta
+            assert h_fn(case, hi - 1e-6) > 0.0 > h_fn(case, hi + 1e-6), beta
+        assert coarse, "no beta near beta_c where the 1000-point grid is too coarse"
 
     def test_matches_scan_count(self):
-        # the sign of h'(0) against the roots a scan counts, on a (gamma,
-        # beta) grid whose betas cross beta_c, close by and far off; at
-        # beta_c + 2e-4 the scan needs 4000 or 16000 points
+        # the sign of h'(0) against the sign changes of h_fn over m > 0, on a
+        # (gamma, beta) grid whose betas cross beta_c, close by and far off
         for gamma in (0.3, 0.8, 1.3, 1.8, 2.3, 2.8, 3.3):
             betas = [1e-3, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]
             if gamma < 2.9:
                 bc = beta_c(gamma, 1e-6).value
                 betas += [bc + d for d in (-0.05, -0.01, -1e-3, 2e-4, 1e-3, 0.01, 0.05)]
             for beta in betas:
-                assert _count_at(gamma, beta) == _scan_count(gamma, beta), (gamma, beta)
+                assert _count_at(gamma, beta) == _sign_count(gamma, beta), (gamma, beta)
 
     @pytest.mark.parametrize("gamma, beta", [(150.0, 1.0), (1e4, 1.0)])
     def test_outer_root_near_its_estimate(self, gamma, beta):
