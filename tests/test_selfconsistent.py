@@ -61,13 +61,6 @@ def _sign_count(gamma, beta):
     return 1 + 2 * int(np.count_nonzero(np.diff(np.sign(hs))))
 
 
-def _grid_scan(case, m_max, grid_n):
-    """(ms, hs) on the grid points m > 0 of linspace(-m_max, m_max,
-    grid_n), hs by one batched h_fn call over all of them."""
-    ms = np.linspace(-m_max, m_max, grid_n)[(grid_n + 1) // 2:]
-    return ms, h_fn(case, ms)
-
-
 class TestHFunction:
     def test_odd_in_m(self):
         case = GradientCase(2.0, 3.0)
@@ -272,7 +265,8 @@ class TestHScan:
     def _assert_matches_grid_scan(self, gamma, beta, grid_n):
         case = GradientCase(gamma, beta)
         m_max = _m_max(beta)
-        ms, hs = _grid_scan(case, m_max, grid_n)
+        ms = np.linspace(-m_max, m_max, grid_n)[(grid_n + 1) // 2:]
+        hs = h_fn(case, ms)
         got = root_count(case, m_max, grid_n, refine=False)["roots"]
         change = np.flatnonzero(np.diff(np.sign(hs)))
         assert len(got) == 1 + 2 * change.size
