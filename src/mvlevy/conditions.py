@@ -9,7 +9,6 @@ h(r) = r/(1+r), and nu-functionals come from levy.tail_moment.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,43 +170,43 @@ def chosen_tuple(report):
 # multiplicity criteria: the shared jump-noise term and witness search
 
 
-@lru_cache(maxsize=64)
-def _noise_moments(levy, beta):
-    """nu_half, nu_beta and nu_small of _jump_noise, taken once per (levy,
-    beta), not at each of the up to 1000 points of a witness search."""
-    return (tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0),
-            tail_moment(levy, beta, COMPLEMENT, 1.0),
-            tail_moment(levy, 2.0, BALL, 1.0))
-
-
 def _jump_noise(levy, beta, eps):
     """The jump-noise term shared by the multiplicity criteria, as a
     function of the radius r:
         2^{beta/2} nu_half r^{beta/2} + nu_beta + (beta/2) eps^{beta/2-1} nu_small
     with nu_half = nu(|.|^{beta/2} 1_{>1}), nu_beta = nu(|.|^beta 1_{>1}) and
-    nu_small = nu(|.|^2 1_{<=1}).  Checks beta > 1, eps > 0 and, for
-    stable noise, beta < alpha (below 2, nu_beta diverges from beta = alpha
-    on); truncated and compound Poisson noise have every moment finite."""
+    nu_small = nu(|.|^2 1_{<=1}); eps and r may be arrays that broadcast.
+    Checks beta > 1, eps > 0 at every element and, for stable noise,
+    beta < alpha (below 2, nu_beta diverges from beta = alpha on);
+    truncated and compound Poisson noise have every moment finite."""
     if not beta > 1.0:
         raise ValueError("need beta > 1")
     if levy.kind == STABLE and not beta < levy.alpha:
         raise ValueError("need beta in (1, alpha)")
-    if eps <= 0:
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
-    nu_half, nu_beta, nu_small = _noise_moments(levy, beta)
+    nu_half = tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0)
+    nu_beta = tail_moment(levy, beta, COMPLEMENT, 1.0)
+    nu_small = tail_moment(levy, 2.0, BALL, 1.0)
     const = nu_beta + (beta / 2.0) * eps ** (beta / 2.0 - 1.0) * nu_small
     return lambda r: 2.0 ** (beta / 2.0) * nu_half * r ** (beta / 2.0) + const
+
+
+def _verdict(ok):
+    """ok as a Python bool, which json.dump writes, unless it is an array."""
+    return ok if np.ndim(ok) else bool(ok)
 
 
 def _witness(check, ok_key, r0_max):
     """First (eps, r0) on a 25 x 40 grid, 25 eps logarithmic in [1e-4, 1]
     and 40 r0 linear below its ceiling r0_max, where check(eps, r0)[ok_key]
-    holds; None if none."""
-    for eps in np.logspace(-4, 0, 25):
-        for r0 in np.linspace(r0_max * 0.999, r0_max / 40, 40):
-            if check(float(eps), float(r0))[ok_key]:
-                return float(eps), float(r0)
-    return None
+    holds; None if none.  One check call takes eps as a column and r0 as a
+    row; the first hit in row-major order has the least eps, then the
+    largest r0."""
+    eps = np.logspace(-4, 0, 25)
+    r0 = np.linspace(r0_max * 0.999, r0_max / 40, 40)
+    hits = np.argwhere(check(eps[:, None], r0)[ok_key])
+    return (float(eps[hits[0, 0]]), float(r0[hits[0, 1]])) if len(hits) else None
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +222,13 @@ def ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy):
     convex_ok: the quadratic-form criterion at all six (a, b) pairs,
     which makes r1 -> g(a, b, r1, r2) convex.
     g(a, b, r1, r2): the bracketing function from the well analysis.
+    eps and r0 may be arrays that broadcast; we2_ok is then an array.
     """
     if a1 * a2 >= 0:
         raise ValueError("need a1 * a2 < 0")
     noise = _jump_noise(levy, beta, eps)
     amin = min(abs(a1), abs(a2))
-    if not (0.0 < r0 < amin / 4.0):
+    if not np.all((0.0 < r0) & (r0 < amin / 4.0)):
         raise ValueError("need r0 in (0, min(|a1|, |a2|)/4)")
     ratio = kappa / lam
     we_ok = ratio >= 1.0 + 2.0 * (a1 ** 2 - a1 * a2 + a2 ** 2) / ((beta - 1.0) * (2.0 + beta))
@@ -256,7 +256,7 @@ def ex14_check(lam, kappa, beta, eps, r0, a1, a2, levy):
                 - eps ** (beta / 2.0) * beta * (lam * a * (a - b) + kappa)
                 - noise(r1))
 
-    return {"we_ok": bool(we_ok), "we2_ok": bool(we2_ok),
+    return {"we_ok": bool(we_ok), "we2_ok": _verdict(we2_ok),
             "convex_ok": bool(convex_ok), "g": g, "pairs": pairs}
 
 
@@ -275,13 +275,14 @@ def ex14_feasibility(lam, kappa, beta, a1, a2, levy):
 
 
 def ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy):
-    """Two-well multiplicity criteria with centers y1, y2."""
+    """Two-well multiplicity criteria with centers y1, y2.  eps and r0 may
+    be arrays that broadcast; eq1_ok and wq2_ok are then arrays."""
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
     delta = float(np.linalg.norm(y1 - y2))
     if delta == 0.0:
         raise ValueError("y1 and y2 must differ")
-    if not (0.0 < r0 < delta / 4.0):
+    if not np.all((0.0 < r0) & (r0 < delta / 4.0)):
         raise ValueError("need r0 in (0, |y1-y2|/4)")
     noise = _jump_noise(levy, beta, eps)
     ratio = kappa / lam
@@ -304,7 +305,7 @@ def ex15_check(lam, kappa, beta, eps, r0, y1, y2, levy):
             - ratio * r1 ** (beta - 1.0) * r2)
             - noise(r1))
 
-    return {"eq1_ok": bool(eq1_ok), "wq2_ok": bool(wq2_ok), "g": g,
+    return {"eq1_ok": _verdict(eq1_ok), "wq2_ok": _verdict(wq2_ok), "g": g,
             "delta": delta}
 
 
@@ -395,11 +396,9 @@ def appendix_constants(ap, levy):
     C_contr = (1.0 + 1.0 / c1) / 2.0 if c1 > 0.0 else math.inf
     if math.isinf(C_contr):
         raise OverflowError(f"C_contr = (1 + 1/c1)/2 overflows: c1 = exp(-{c2 * g_2l0:.6g})")
-    if 2.0 * g_2l0 > 700.0:
-        # 1 + e^{2g} ~ e^{2g}; avoids float overflow, rate underflows to 0
-        lambda_contr = c2 * math.exp(-min(2.0 * g_2l0, 745.0))
-    else:
-        lambda_contr = c2 / (1.0 + math.exp(2.0 * g_2l0))
+    # c2 / (1 + e^{2g}) written with e^{-2g}, which cannot overflow
+    e = math.exp(-2.0 * g_2l0)
+    lambda_contr = c2 * e / (1.0 + e)
     return AppendixConstants(c=c, a=a, eps=eps, lambda0=lambda0,
                              C_contr=C_contr, lambda_contr=lambda_contr,
                              c1=c1, c2=c2)

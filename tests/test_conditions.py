@@ -34,7 +34,7 @@ from mvlevy import (
     theta_member,
 )
 from mvlevy import conditions
-from mvlevy.conditions import _jump_noise, _noise_moments, _select_l, chosen_tuple
+from mvlevy.conditions import _jump_noise, _select_l, chosen_tuple
 from mvlevy.errors import QuadratureFailure
 from mvlevy.levy import tail_moment
 
@@ -239,6 +239,12 @@ class TestMStar:
             m_star(p, LevyMeasureSpec(alpha=1.8))
 
 
+def _search_grid(r0_max):
+    """The witness search grid: 25 eps logarithmic in [1e-4, 1] and 40 r0
+    linear from 0.999 r0_max down to r0_max / 40."""
+    return np.logspace(-4, 0, 25), np.linspace(0.999 * r0_max, r0_max / 40, 40)
+
+
 class TestDoubleWellCriteria:
     LEVY = LevyMeasureSpec(alpha=1.8, scale=0.025)
 
@@ -281,19 +287,38 @@ class TestDoubleWellCriteria:
         assert ex14_feasibility(1.0, 4.5, 1.5, -1.0, 1.0, levy) == witness
 
     def test_search_takes_the_noise_moments_once(self, monkeypatch):
-        # the moments depend on (levy, beta) alone; a search used to take
-        # three of them at each of its 1000 grid points
-        calls = []
+        # the moments depend on (levy, beta) alone, and a search checks its
+        # whole grid in one call; it used to make a call, and take three
+        # moments, at each of its 1000 grid points
+        calls, checks = [], []
 
         def counted(*args):
             calls.append(args)
             return tail_moment(*args)
 
         monkeypatch.setattr(conditions, "tail_moment", counted)
-        _noise_moments.cache_clear()
+        monkeypatch.setattr(conditions, "ex14_check",
+                            lambda *args: checks.append(args) or ex14_check(*args))
         loud = LevyMeasureSpec(alpha=1.8, scale=0.2)
         assert ex14_feasibility(1.0, 4.5, 1.5, -1.0, 1.0, loud) is None
         assert 0 < len(calls) <= 3
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("scale, feasible", [(0.025, 136), (0.05, 0)])
+    def test_grid_call_matches_scalar_calls(self, scale, feasible):
+        levy = LevyMeasureSpec(alpha=1.8, scale=scale)
+        eps, r0 = _search_grid(0.25)
+        grid = ex14_check(1.0, 4.5, 1.5, eps[:, None], r0, -1.0, 1.0, levy)["we2_ok"]
+        scalar = [[ex14_check(1.0, 4.5, 1.5, e, r, -1.0, 1.0, levy)["we2_ok"]
+                   for r in r0.tolist()] for e in eps.tolist()]
+        assert {type(v) for row in scalar for v in row} == {bool}
+        assert grid.shape == (25, 40) and grid.tolist() == scalar
+        assert grid.sum() == feasible
+
+    def test_witness_below_the_first_r0_is_pinned(self):
+        # the witness is on the first eps row, three r0 steps below the top
+        levy = LevyMeasureSpec(alpha=1.5, scale=0.01)
+        assert ex14_feasibility(1.0, 3.0, 1.1, -1.0, 1.0, levy) == (0.0001, 0.23101923076923075)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -302,6 +327,8 @@ class TestDoubleWellCriteria:
             ex14_check(1.0, 4.5, 1.9, 1e-4, 0.24, -1.0, 1.0, self.LEVY)
         with pytest.raises(ValueError):
             ex14_check(1.0, 4.5, 1.5, 1e-4, 0.3, -1.0, 1.0, self.LEVY)
+        with pytest.raises(ValueError, match="need r0"):
+            ex14_check(1.0, 4.5, 1.5, 1e-4, np.array([0.24, 0.3]), -1.0, 1.0, self.LEVY)
 
 
 class TestTwoWellCriteria:
@@ -329,6 +356,26 @@ class TestTwoWellCriteria:
     def test_infeasible_at_large_scale(self):
         loud = LevyMeasureSpec(alpha=1.8, scale=0.2)
         assert ex15_feasibility(1.0, 3.0, 1.5, (1.0,), (-1.0,), loud) is None
+
+    @pytest.mark.parametrize("scale, feasible", [(0.1, 302), (0.2, 0)])
+    def test_grid_call_matches_scalar_calls(self, scale, feasible):
+        levy = LevyMeasureSpec(alpha=1.8, scale=scale)
+        eps, r0 = _search_grid(0.5)
+        res = ex15_check(1.0, 3.0, 1.5, eps[:, None], r0, (1.0,), (-1.0,), levy)
+        scalar = [[ex15_check(1.0, 3.0, 1.5, e, r, (1.0,), (-1.0,), levy)
+                   for r in r0.tolist()] for e in eps.tolist()]
+        for key, shape in (("eq1_ok", (25, 1)), ("wq2_ok", (25, 40))):
+            want = [[s[key] for s in row] for row in scalar]
+            assert {type(v) for row in want for v in row} == {bool}
+            assert res[key].shape == shape
+            assert np.broadcast_to(res[key], (25, 40)).tolist() == want
+        assert res["wq2_ok"].sum() == feasible
+
+    def test_witness_past_the_first_eps_is_pinned(self):
+        # the witness is on the fourth eps row, one r0 step below the top
+        levy = LevyMeasureSpec(alpha=1.5, scale=0.05)
+        assert (ex15_feasibility(1.0, 4.5, 1.1, (1.0,), (-1.0,), levy)
+                == (0.00031622776601683794, 0.4870128205128205))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -405,8 +452,8 @@ class TestAppendixConstants:
         assert np.isclose(out.lambda_contr, expect_rate, rtol=1e-10, atol=0.0)
 
     def test_sigma_branch_ordinary_rate(self):
-        # K1 = 0.1 keeps 2 g near 109, below the e^{2g} overflow guard, so
-        # lambda_contr = c2 / (1 + e^{2g}) is evaluated as written
+        # K1 = 0.1 keeps 2 g near 109, where e^{2g} is a finite float, so
+        # lambda_contr is compared with c2 / (1 + e^{2g}) as written
         levy = LevyMeasureSpec(alpha=1.5, scale=1.0)
         sval = 0.5 * _overlap_inf(1.5, 1.0, 1.0) / 4.0
         ap = AppendixParams(K1=0.1, K2=0.5, K3=1.0, kappa=1.0, l0=1.0, C_V=2.0,
@@ -418,6 +465,15 @@ class TestAppendixConstants:
         assert 100.0 < two_g < 120.0
         assert out.lambda_contr == pytest.approx(c2 / (1.0 + math.exp(two_g)), rel=1e-10)
         assert out.lambda_contr > 0.0
+
+    def test_sigma_branch_rate_underflows_to_zero(self):
+        # flat sigma = 2: g1(2 l0) = 1, c2 = 1 and 2 g = 2 (1 + 2 K1) = 802,
+        # so e^{-2g} underflows to 0.0, and so does the rate
+        levy = LevyMeasureSpec(alpha=1.5, scale=20.0)
+        ap = AppendixParams(K1=200.0, K2=0.5, K3=1.0, kappa=1.0, l0=1.0, C_V=2.0,
+                            lambda_V=0.5, sigma=SigmaSpec(((0.0, 2.0), (2.0, 2.0))))
+        out = appendix_constants(ap, levy)
+        assert out.c2 == 1.0 and out.lambda_contr == 0.0
 
     def test_domination_violation_raises(self):
         levy = LevyMeasureSpec(alpha=1.5)
@@ -462,6 +518,9 @@ _BAD_INPUTS = {
                              ValueError, "need beta > 1"),
     "jump noise eps <= 0": (lambda: _jump_noise(_STABLE, 1.5, 0.0),
                             ValueError, "eps must be positive"),
+    "jump noise eps array with an element <= 0": (
+        lambda: _jump_noise(_STABLE, 1.5, np.array([0.1, 0.0])),
+        ValueError, "eps must be positive"),
     "no l meets the tail cap": (lambda: _select_l(_STABLE, 1.5, 0.0),
                                 QuadratureFailure, "no l on the doubling grid"),
     "C_V <= 0": (lambda: AppendixParams(K1=1.0, K2=1.0, K3=1.0, kappa=1.0, l0=1.0,

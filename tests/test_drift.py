@@ -1,5 +1,6 @@
 """Tests for the drift families, their closures, and the Lyapunov bundles."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,48 @@ class TestLyapunovExponents:
         full = lyapunov_params(spec, alpha=alpha)
         assert lyapunov_exponents(spec, alpha=alpha) == replace(full, C_b=0.0)
         assert lyapunov_exponents(spec, alpha=alpha).beta_star == full.beta_star
+
+
+def _e12_per_point(spec, params, grid, mus):
+    """verify_E12 written point by point, the drift taken by eval_drift at
+    each point: (ok, worst slack, violations)."""
+    worst, violations = math.inf, []
+    for mi, mu in enumerate(mus):
+        m3 = float(mu.weights @ np.linalg.norm(mu.points, axis=1) ** params.theta3)
+        for x in np.asarray(grid, dtype=float).reshape(len(grid), spec.dim):
+            nx2 = float(x @ x)
+            slack = (params.C_b - params.lam1 * nx2 ** ((1.0 + params.theta1) / 2.0)
+                     + params.lam2 * (1.0 + nx2) ** (params.theta2 / 2.0) * m3 ** params.theta4
+                     - float(x @ eval_drift(spec, x, mu)))
+            worst = min(worst, slack)
+            if slack < 0:
+                violations.append((tuple(x), mi, slack))
+    return not violations, worst, violations
+
+
+@pytest.mark.parametrize("lam1_scale", [1.0, 50.0])
+@pytest.mark.parametrize("name", ["double_well", "two_well_d2"])
+def test_verify_E12_matches_per_point_transcription(name, lam1_scale):
+    # the same verdict, worst slack and violations, in order; a slack may
+    # differ from the scalar one in its last bits, where numpy's array
+    # power rounds differently from the C library's pow
+    spec = SPECS[name]
+    p = lyapunov_params(spec, beta=1.5)
+    params = replace(p, lam1=p.lam1 * lam1_scale)
+    gen = np.random.default_rng(11)
+    d = spec.dim
+    grid = gen.uniform(-8.0, 8.0, (400, d))
+    mus = [EmpiricalMeasure.dirac(np.zeros(d)), _uniform_cloud(gen, 40, d),
+           EmpiricalMeasure.dirac(np.full(d, 3.0))]
+    rep = verify_E12(spec, params, grid, mus)
+    ok, worst, violations = _e12_per_point(spec, params, grid, mus)
+    assert rep["ok"] is ok is (lam1_scale == 1.0)
+    assert rep["worst_slack"] == pytest.approx(worst, rel=1e-13)
+    assert len(rep["violations"]) == len(violations)
+    assert ok or len(violations) > 1000
+    for (x, mi, slack), (x_want, mi_want, slack_want) in zip(rep["violations"], violations):
+        assert (x, mi) == (x_want, mi_want)
+        assert type(slack) is float and slack == pytest.approx(slack_want, rel=1e-13, abs=1e-9)
 
 
 def _bfgs_sup(fn, dim):

@@ -3,8 +3,9 @@ binds a local name it never reads, no option goes unset by every caller,
 no random stream is keyed by an integer offset, every stream purpose word
 keys a stream, every config field has a type the checker knows, every
 error the package raises has a CLI exit code and every package error is
-raised, and no module imports scipy, a test-only dependency: every CLI
-command gives its usual exit code with scipy blocked."""
+raised, no function is wrapped in a functools cache, and no module
+imports scipy, a test-only dependency: every CLI command gives its usual
+exit code with scipy blocked."""
 
 import ast
 import builtins
@@ -72,6 +73,58 @@ def test_scipy_import_check_sees_every_form():
         "def f():\n"
         "    from scipy.special import gammainc\n")
     assert _scipy_imports(tree) == [1, 2, 3, 4, 9]
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _cached_functions(tree):
+    """(line, name) for each function decorated with functools.lru_cache or
+    functools.cache, called or bare, through the module or a name imported
+    from it, aliases included."""
+    names = {a.asname or a.name for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and n.module == "functools"
+             for a in n.names if a.name in _CACHES}
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name == "functools"}
+    cached = []
+    for fn in (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)):
+        for dec in fn.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if (isinstance(dec, ast.Name) and dec.id in names
+                    or isinstance(dec, ast.Attribute) and dec.attr in _CACHES
+                    and getattr(dec.value, "id", None) in modules):
+                cached.append((fn.lineno, fn.name))
+    return sorted(cached)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cached_functions(path):
+    # a cache beside slow code is a second path to the same answer: the
+    # code itself should do the work once
+    cached = _cached_functions(ast.parse(path.read_text()))
+    assert not cached, f"{path.name}: functools caches on (line, function): {cached}"
+
+
+def test_cache_check_sees_every_form():
+    tree = ast.parse(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import lru_cache, cache as memo, wraps\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def a(x): pass\n"
+        "@ft.cache\n"
+        "def b(x): pass\n"
+        "@lru_cache\n"
+        "def c(x): pass\n"
+        "class K:\n"
+        "    @memo\n"
+        "    def d(self): pass\n"
+        "@wraps(a)\n"
+        "def e(x): pass\n"
+        "@other.cache\n"
+        "def f(x): pass\n")
+    assert _cached_functions(tree) == [(5, "a"), (7, "b"), (9, "c"), (12, "d")]
 
 
 _SIM = '{"dt": 0.002, "T": 2.0, "n_chains": 20, "thin": 10, "seed": 3}'
