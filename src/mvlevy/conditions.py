@@ -183,7 +183,7 @@ def _jump_noise(levy, beta, eps):
         raise ValueError("need beta > 1")
     if levy.kind == STABLE and not beta < levy.alpha:
         raise ValueError("need beta in (1, alpha)")
-    if np.any(eps <= 0):
+    if not np.all(eps > 0):
         raise ValueError("eps must be positive")
     nu_half = tail_moment(levy, beta / 2.0, COMPLEMENT, 1.0)
     nu_beta = tail_moment(levy, beta, COMPLEMENT, 1.0)

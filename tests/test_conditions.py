@@ -521,6 +521,8 @@ _BAD_INPUTS = {
     "jump noise eps array with an element <= 0": (
         lambda: _jump_noise(_STABLE, 1.5, np.array([0.1, 0.0])),
         ValueError, "eps must be positive"),
+    "jump noise eps nan": (lambda: _jump_noise(_STABLE, 1.5, math.nan),
+                           ValueError, "eps must be positive"),
     "no l meets the tail cap": (lambda: _select_l(_STABLE, 1.5, 0.0),
                                 QuadratureFailure, "no l on the doubling grid"),
     "C_V <= 0": (lambda: AppendixParams(K1=1.0, K2=1.0, K3=1.0, kappa=1.0, l0=1.0,
