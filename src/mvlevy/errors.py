@@ -4,6 +4,7 @@ of a config section: the declared field types of its dataclass.
 A config dataclass runs _check_types in __post_init__, reads a JSON
 section through _config_kwargs, and writes one back through _to_json."""
 
+import math
 import numbers
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -12,14 +13,17 @@ _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", tuple: "a 
 
 
 def _is_kind(v, kind):
-    """True when v is of kind: float takes any real number and int any
-    integer, but a bool is neither; [k] is a nonempty list of k, tuple[k, ...]
-    a tuple of k, and any other type its instances."""
+    """True when v is of kind: float takes any finite real number (JSON's
+    NaN and Infinity are not numbers of a config) and int any integer, but
+    a bool is neither; [k] is a nonempty list of k, tuple[k, ...] a tuple
+    of k, and any other type its instances."""
     if isinstance(kind, list):
         return isinstance(v, list) and bool(v) and all(_is_kind(x, kind[0]) for x in v)
     if typing.get_origin(kind) is tuple:
         return isinstance(v, tuple) and all(_is_kind(x, typing.get_args(kind)[0]) for x in v)
-    kind = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
+    if kind is float:
+        return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+    kind = {int: numbers.Integral}.get(kind, kind)
     return not isinstance(v, bool) and isinstance(v, kind)
 
 

@@ -147,11 +147,13 @@ def _run_euler(spec, stats, levy, X, cfg, keep, *key):
     # turns it into a Blowup exception
     if aff is not None and levy.kind == STABLE:
         rate, shift = aff
+        # one jump per window length: after the first, every window is thin
+        jumps = {k: _affine_jump(rate, dt, levy.alpha, k)
+                 for k in set(np.diff(keep, prepend=0).tolist())}
         prev = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for i, step in enumerate(keep):
-                decay_k, drift_sum, noise_sum = _affine_jump(
-                    rate, dt, levy.alpha, step - prev)
+                decay_k, drift_sum, noise_sum = jumps[step - prev]
                 X = (decay_k * X + shift * (dt * drift_sum)
                      + sample_increment(levy, dt * noise_sum, gen, size=n))
                 _check_blowup(X, step)

@@ -391,10 +391,15 @@ class TestSelfConsistent:
 
     @pytest.mark.parametrize("tol", ["0", "NaN", "Infinity"])
     def test_bad_tol_is_validation_error(self, tmp_path, capsys, tol):
-        # a NaN or infinite tol skipped the bisection: beta_c = 50.0005
+        # a NaN or infinite tol skipped the bisection: beta_c = 50.0005; the
+        # config check now turns those away as not numbers, before beta_c
         assert main(["selfconsistent", "--gamma", "2.0", "--set", f"tol={tol}",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "tol must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if tol == "0":
+            assert "tol must be positive and finite" in err
+        else:
+            assert "config value 'tol' must be a number" in err
 
     @pytest.mark.parametrize("beta", ["nan", "inf"])
     def test_non_finite_beta_is_validation_error(self, tmp_path, capsys, beta):
@@ -504,6 +509,16 @@ class TestRawConfigValues:
         ["fixpoint", *FP_RUN, "--set",
          'drift={"family": "asymmetric_cubic", "lam": 1, "beta": 1.2, '
          '"g_kind": "tanh_scaled", "g_params": ["a", 1]}'],
+        # JSON's NaN and Infinity are not config numbers: a NaN kappa wrote
+        # false verdicts and exited 0, a NaN noise scale ran into a Blowup
+        # (exit 3), and an infinite w1_tol reported convergence at once
+        ["check", "--set", 'levy={"alpha": 1.8}',
+         "--set", f"ex14={json.dumps(dict(EX14, kappa=math.nan))}"],
+        ["fixpoint", *FP_RUN, "--set", "levy.scale=NaN"],
+        ["fixpoint", *FP_RUN, "--set", "fixed_point.w1_tol=Infinity"],
+        ["multiplicity", *FP_RUN, "--set", "seeds=[[0.0], [1.0]]",
+         "--set", "M_star=-Infinity"],
+        ["sample", "--set", "seed=1", "--set", "levy={}", "--set", "dt=NaN"],
     ], ids=["appendix-unknown-key", "appendix-sigma-key", "gamma-string",
             "tol-string", "seeds-scalar", "m-star-string", "n-string",
             "dt-bool", "ex14-string", "ex15-string", "seeds-object",
@@ -511,7 +526,9 @@ class TestRawConfigValues:
             "sigma-knots-scalar", "sigma-knots-single", "ex15-y1-object",
             "ex15-y2-string", "fixed-point-typo", "fixed-point-sim-key",
             "seed-list", "seed-float", "ex14-unknown-key", "ex15-unknown-key",
-            "jump-dist-short", "jump-dist-unknown", "g-params-string"])
+            "jump-dist-short", "jump-dist-unknown", "g-params-string",
+            "ex14-kappa-nan", "levy-scale-nan", "w1-tol-infinity",
+            "m-star-minus-infinity", "dt-nan"])
     def test_bad_value_is_validation_error(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert "error: invalid input" in capsys.readouterr().err
@@ -540,7 +557,7 @@ SECTIONS = {
 def _wrong_kinds(tp):
     """Values that are not of the declared field type tp."""
     if tp in (float, int):
-        return ["a", True, {}] + ([1.5] if tp is int else [])
+        return ["a", True, {}] + ([1.5] if tp is int else [math.nan, math.inf, -math.inf])
     return [3]
 
 
